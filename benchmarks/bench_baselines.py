@@ -6,8 +6,13 @@ Burman-style ``Θ(n)``-overhead baseline (``O(n² log n)`` time), from the same
 fresh starts.  Results go to ``results/baselines.csv`` / ``baselines.txt``.
 """
 
-from repro.experiments.comparison import format_comparison, run_comparison
+from repro.experiments.comparison import (
+    comparison_result_from_rows,
+    comparison_specs,
+    format_comparison,
+)
 from repro.experiments.recording import write_csv
+from repro.experiments.study import Study
 
 DEFAULT_SIZES = (16, 32, 64)
 FULL_SIZES = (16, 32, 64, 128)
@@ -18,12 +23,16 @@ def test_baseline_comparison_fresh_start(benchmark, results_dir, paper_scale):
     repetitions = 5 if paper_scale else 3
 
     def run():
-        return run_comparison(
+        specs = comparison_specs(
             n_values=n_values,
             repetitions=repetitions,
             workload="fresh",
             max_interactions_factor=1200 if paper_scale else 800,
+            engine="reference",
             random_state=11,
+        )
+        return comparison_result_from_rows(
+            Study(specs, name="comparison").run(), workload="fresh"
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

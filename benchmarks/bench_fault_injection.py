@@ -6,10 +6,12 @@ adversarial state assignment.  Results go to ``results/fault_injection.csv``.
 """
 
 from repro.experiments.fault_injection import (
+    fault_injection_result_from_rows,
+    fault_injection_specs,
     format_fault_injection,
-    run_fault_injection,
 )
 from repro.experiments.recording import write_csv
+from repro.experiments.study import Study
 
 
 def test_fault_recovery_times(benchmark, results_dir, paper_scale):
@@ -17,11 +19,15 @@ def test_fault_recovery_times(benchmark, results_dir, paper_scale):
     repetitions = 5 if paper_scale else 3
 
     def run():
-        return run_fault_injection(
+        specs = fault_injection_specs(
             n_values=n_values,
             repetitions=repetitions,
             max_interactions_factor=3000,
+            engine="reference",
             random_state=5,
+        )
+        return fault_injection_result_from_rows(
+            Study(specs, name="fault-injection").run()
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -11,15 +11,23 @@ Default: ``n = 128``; with ``REPRO_BENCH_FULL=1``: the paper's ``n = 256``.
 
 import math
 
-from repro.experiments.figure2 import format_figure2, run_figure2
+from repro.experiments.figure2 import (
+    figure2_result_from_rows,
+    figure2_specs,
+    format_figure2,
+)
 from repro.experiments.recording import write_csv
+from repro.experiments.study import Study
 
 
 def test_figure2_reset_and_recovery(benchmark, results_dir, paper_scale):
     n = 256 if paper_scale else 128
 
     def run():
-        return run_figure2(n=n, random_state=2024)
+        specs = figure2_specs(
+            n_values=(n,), engine="reference", random_state=2024
+        )
+        return figure2_result_from_rows(Study(specs, name="figure2").run())
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 

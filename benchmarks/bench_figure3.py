@@ -10,8 +10,14 @@ Default: ``n ∈ {128 … 2048}``, 20 runs per size; with ``REPRO_BENCH_FULL=1``
 the paper's ``n ∈ {128 … 8192}`` with 100 runs per size.
 """
 
-from repro.experiments.figure3 import PAPER_FRACTIONS, format_figure3, run_figure3
+from repro.experiments.figure3 import (
+    PAPER_FRACTIONS,
+    figure3_result_from_rows,
+    figure3_specs,
+    format_figure3,
+)
 from repro.experiments.recording import write_csv
+from repro.experiments.study import Study
 
 DEFAULT_SIZES = (128, 256, 512, 1024, 2048)
 PAPER_SIZES = (128, 256, 512, 1024, 2048, 4096, 8192)
@@ -22,13 +28,14 @@ def test_figure3_time_to_rank_fractions(benchmark, results_dir, paper_scale):
     repetitions = 100 if paper_scale else 20
 
     def run():
-        return run_figure3(
+        specs = figure3_specs(
             n_values=n_values,
             fractions=PAPER_FRACTIONS,
             repetitions=repetitions,
             engine="aggregate",
             random_state=2024,
         )
+        return figure3_result_from_rows(Study(specs, name="figure3").run())
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -6,7 +6,12 @@ stay roughly constant across population sizes.  Results go to
 """
 
 from repro.experiments.recording import write_csv
-from repro.experiments.scaling import format_scaling, run_scaling
+from repro.experiments.scaling import (
+    format_scaling,
+    scaling_result_from_rows,
+    scaling_specs,
+)
+from repro.experiments.study import Study
 
 DEFAULT_SIZES = (128, 256, 512, 1024)
 PAPER_SIZES = (128, 256, 512, 1024, 2048, 4096, 8192)
@@ -17,12 +22,13 @@ def test_scaling_is_n2_logn(benchmark, results_dir, paper_scale):
     repetitions = 50 if paper_scale else 15
 
     def run():
-        return run_scaling(
+        specs = scaling_specs(
             n_values=n_values,
             repetitions=repetitions,
             engine="aggregate",
             random_state=7,
         )
+        return scaling_result_from_rows(Study(specs, name="scaling").run())
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -79,6 +79,6 @@ def test_observed_state_usage(benchmark, results_dir, paper_scale):
     benchmark.extra_info["cai_overhead"] = cai.overhead_states
     # The non-self-stabilizing protocol uses only Θ(log n) overhead states
     # (ranking layer), the self-stabilizing one polylogarithmically many (with
-    # a sizeable constant, see EXPERIMENTS.md), and the Cai baseline none.
+    # a sizeable constant, see DESIGN.md, E4), and the Cai baseline none.
     assert cai.overhead_states == 0
     assert space_efficient.overhead_states < stable.overhead_states

@@ -7,7 +7,7 @@ environment variable ``REPRO_BENCH_FULL=1`` to run the paper-scale versions
 (Figure 3 up to ``n = 8192`` with 100 repetitions, Figure 2 at ``n = 256``).
 
 Each benchmark writes its regenerated table/series to ``results/`` (text and
-CSV) so the numbers quoted in EXPERIMENTS.md can be traced back to a file.
+CSV) so the numbers quoted in docs/experiments.md can be traced back to a file.
 """
 
 import os

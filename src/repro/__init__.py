@@ -16,8 +16,8 @@ The public API re-exports the most commonly used pieces:
   :class:`ResultSet`) behind the ``python -m repro`` command line.
 
 See ``README.md`` for a quickstart, ``docs/experiments.md`` for the study
-API and CLI cookbook, and ``DESIGN.md`` for the system inventory and the
-per-experiment index.
+API and CLI cookbook, and ``DESIGN.md`` for the substitution inventory and
+the per-experiment index.
 """
 
 from .core import (
@@ -63,7 +63,7 @@ from .scenarios import (
 from .experiments.store import ResultStore
 from .experiments.study import ExperimentSpec, ResultSet, RunRow, Study
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AgentState",

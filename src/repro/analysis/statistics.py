@@ -1,7 +1,7 @@
 """Summary statistics for repeated simulation runs.
 
 Every experiment in this repository is a Monte-Carlo experiment; these
-helpers compute the summaries reported in EXPERIMENTS.md (means, medians,
+helpers compute the summaries reported in docs/experiments.md (means, medians,
 quantiles, bootstrap confidence intervals) without pulling in anything
 heavier than numpy.
 """

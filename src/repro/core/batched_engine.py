@@ -57,7 +57,6 @@ from .array_engine import (
     _CHANGED_BIT,
     _CODE_BITS,
     _CODE_MASK,
-    _FLAG_FIELD,
     _MAX_RANK,
     _RANK_FIELD,
     _RESET_BIT,
@@ -80,7 +79,6 @@ from .protocol import PopulationProtocol
 from .rng import RandomState
 from .scheduler import UniformPairScheduler
 from .simulation import SimulationResult
-from .soa import ColumnStore
 
 __all__ = ["BatchedArraySimulator"]
 
@@ -95,20 +93,6 @@ _SYNC_BASE = 64
 #: back to the sorted-array mirror, which scales with tabulated pairs
 #: instead of the squared state space.
 _LUT_MAX_DIM = 8192
-
-#: Dispatch a lockstep segment to the shared SoA kernel when at least this
-#: share of its (sampled) pairs is untabulated.  The economics: a novel
-#: pair costs one scalar tabulation (~14 µs) on the table path but the
-#: tabulation is *one-time* and the cell replays each distinct pair dozens
-#: of times, while the kernel pays its ordered per-pair walk (~0.7 µs) on
-#: every occurrence — warm and novel alike.  Only genuine novelty storms
-#: (start-up churn before the shared cache has seen a regime) are cheaper
-#: through the kernel.
-_KERNEL_NOVELTY_SHARE = 0.05
-
-#: Stride for the novelty probe (probing every pair would cost as much as a
-#: table-path step for nothing in warm regimes).
-_PROBE_STRIDE = 4
 
 
 class BatchedArraySimulator:
@@ -134,15 +118,6 @@ class BatchedArraySimulator:
     convergence_interval, chunk_size, max_dense_states, cache:
         As for :class:`~repro.core.array_engine.ArraySimulator`; shared
         by every lane.
-    use_soa_kernel:
-        Opt-in here, unlike the serial engine (default ``False``).  The
-        lockstep table walk amortizes each tabulation across every lane
-        that replays the pair, so the batch is fastest riding the shared
-        pair cache; the SoA kernel's per-interaction cost is the same
-        class the serial engine pays, and routing segments through it
-        also starves the cache (kernel-processed pairs are never
-        tabulated), which keeps segments looking novel forever.  Enable
-        it for protocols whose state space is too large to tabulate.
     """
 
     def __init__(
@@ -155,7 +130,6 @@ class BatchedArraySimulator:
         chunk_size: int = 4096,
         max_dense_states: int = 64,
         cache: Optional[EngineCache] = None,
-        use_soa_kernel: bool = False,
         topology=None,
     ):
         if not protocols:
@@ -280,36 +254,6 @@ class BatchedArraySimulator:
         self._screen = np.empty(0, dtype=bool)
         self._screen_len = 0
         self._screen_enabled = self._mode in ("dense", "lazy")
-
-        # Shared protocol-provided SoA kernel (lazy mode only: dense
-        # tables are complete, so there is no tabulation to avoid).  The
-        # kernel consumes interleaved multi-lane pair blocks over the
-        # concatenated (lanes * n)-agent population; pairs from different
-        # lanes touch disjoint agents, so any step-major interleaving is a
-        # valid sequential order and per-lane trajectories stay exact.
-        self._soa = None
-        self._soa_columns: Optional[ColumnStore] = None
-        self._flat_list: Optional[list] = None
-        if (
-            use_soa_kernel
-            and self._mode == "lazy"
-            and self._protocols[0].consumes_randomness() is False
-        ):
-            soa = self._cache.soa_kernel
-            if soa is None:
-                soa = self._protocols[0].vectorized_kernel(self._codec)
-                self._cache.soa_kernel = soa
-            if soa is not None:
-                store = self._cache.soa_columns
-                if store is None:
-                    store = ColumnStore(self._codec, soa.columns())
-                    self._cache.soa_columns = store
-                self._soa = soa
-                self._soa_columns = store
-                # ``ColumnStore.commit`` mirrors writes into a Python code
-                # list for the serial walk; the batched engine reads codes
-                # only through ``_flat``, so this mirror is write-only.
-                self._flat_list = self._flat.tolist()
 
     # ------------------------------------------------------------------
     # Mode selection
@@ -441,18 +385,6 @@ class BatchedArraySimulator:
                     (keys >> _CODE_BITS) * _LUT_MAX_DIM + (keys & _CODE_MASK)
                 ] = vals
         self._lut_rows = size
-
-    def _lut_insert(self, key: int, value: int) -> None:
-        """Mirror a freshly tabulated pair; grows over new interned codes."""
-        if self._lut is None:
-            return
-        if self._codec.size > self._lut_rows:
-            self._grow_lut()
-            if self._lut is None:
-                return
-        self._lut[
-            (key >> _CODE_BITS) * _LUT_MAX_DIM + (key & _CODE_MASK)
-        ] = value
 
     def _lut_bulk_insert(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Mirror a batch of resolved pairs with one scatter."""
@@ -597,10 +529,6 @@ class BatchedArraySimulator:
         nxt = np.empty(2 * width, dtype=np.int64)
         consumed = seg
         demoted: List[int] = []
-        if self._lut is not None and self._codec.size > self._lut_rows:
-            # The SoA kernel interns codes without passing through
-            # ``_lut_insert``; catch up before addressing by code.
-            self._grow_lut()
 
         step = 0
         jit = self._jit_lockstep
@@ -711,147 +639,6 @@ class BatchedArraySimulator:
             )
         return consumed, demoted
 
-    # ------------------------------------------------------------------
-    # Kernel-path lockstep advancement
-    # ------------------------------------------------------------------
-    def _segment_wants_kernel(self, table: List[int], seg: int) -> bool:
-        """Estimate whether a segment is novelty-heavy.
-
-        Probes a strided sample of the segment's pairs against the shared
-        probe table with the lanes' *current* codes.  Untabulated pairs
-        cost a full scalar tabulation each on the table path but nothing
-        on the kernel path; warm pairs are cheaper on the vectorized
-        lockstep walk.  The probe is a heuristic (codes evolve inside the
-        segment), never a correctness decision.
-        """
-        if self._soa is None:
-            return False
-        lanes_np = np.asarray(table, dtype=np.int64)
-        base = lanes_np * self._n
-        cursor = self._cursor
-        sample = self._buffer[lanes_np, cursor:cursor + seg:_PROBE_STRIDE, :]
-        flat = self._flat
-        a = flat[(sample[:, :, 0] + base[:, None]).ravel()]
-        b = flat[(sample[:, :, 1] + base[:, None]).ravel()]
-        classes = self._kernel.probe_class(a, b)
-        novel = int(np.count_nonzero(classes == -1))
-        return novel >= _KERNEL_NOVELTY_SHARE * classes.size
-
-    def _run_segment_kernel(
-        self, table: List[int], seg: int, block_tail: int
-    ) -> List[int]:
-        """Advance every table lane ``seg`` steps through the SoA kernel.
-
-        Pairs are interleaved step-major over the concatenated population
-        and consumed in a decline-resolving loop: the kernel commits a
-        maximal exact prefix, the first declined pair is resolved through
-        the pair table (tabulating it if novel), and the kernel re-enters
-        on the remainder — the batched mirror of the serial engine's
-        ``_process_chunk``.  ``block_tail`` is the number of interactions
-        the enclosing block still owes *after* this segment, needed to
-        finish a lane on the object path if a resolution consumes
-        randomness.  Returns the lanes demoted that way.
-        """
-        lanes_np = np.asarray(table, dtype=np.int64)
-        width = len(table)
-        cursor = self._cursor
-        base = lanes_np * self._n
-        block = self._buffer[lanes_np, cursor:cursor + seg, :]
-        init = np.ascontiguousarray((block[:, :, 0] + base[:, None]).T).ravel()
-        resp = np.ascontiguousarray((block[:, :, 1] + base[:, None]).T).ravel()
-        pos_lane = np.tile(lanes_np, seg)
-        pos_step = np.repeat(np.arange(seg, dtype=np.int64), width)
-
-        store = self._soa_columns
-        store.bind(self._flat, self._flat_list)
-        soa = self._soa
-        rng = self._schedulers[table[0]].rng
-        flat = self._flat
-        pair_dict = self._kernel.pair_dict
-        get = pair_dict.get
-        evaluate = self._kernel.evaluate_packed
-        rank_counts = self._rank_counts
-        reset_counts = self._reset_counts
-        changed = self._changed_since_check
-        changed_any = False
-        demoted: List[int] = []
-
-        p = 0
-        total = len(init)
-        while p < total:
-            outcome = soa.apply_chunk(init[p:], resp[p:], store, rng)
-            processed = outcome.processed
-            if processed:
-                if outcome.changed:
-                    changed_any = True
-                if outcome.resets:
-                    for rel in outcome.reset_positions:
-                        reset_counts[pos_lane[p + rel]] += 1
-                p += processed
-            if p >= total:
-                break
-            # Resolve the declined pair through the pair table (tabulating
-            # it if novel), then skim directly following pairs the cache
-            # already holds — exactly the serial engine's walk-past-decline
-            # plus warm-pair extension before re-entering the kernel.
-            first = True
-            while p < total:
-                gi = int(init[p])
-                gj = int(resp[p])
-                a = int(flat[gi])
-                b = int(flat[gj])
-                key = (a << _CODE_BITS) | b
-                value = get(key)
-                if value is None:
-                    if not first:
-                        break  # novel pair past the decline: kernel's turn
-                    try:
-                        value = evaluate(key)
-                    except RandomnessConsumed:
-                        lane = int(pos_lane[p])
-                        step = int(pos_step[p])
-                        self._lane_mode[lane] = "object"
-                        self._materialize_lane(lane)
-                        # The object path re-executes the raising pair
-                        # (it sits at the lane's buffer cursor) and the
-                        # lane's remaining share of the block.
-                        self._lane_cursor[lane] = cursor + step
-                        self._advance_lane_object(
-                            lane, (seg - step) + block_tail
-                        )
-                        demoted.append(lane)
-                        keep = pos_lane[p:] != lane
-                        init = init[p:][keep]
-                        resp = resp[p:][keep]
-                        pos_lane = pos_lane[p:][keep]
-                        pos_step = pos_step[p:][keep]
-                        total = len(init)
-                        p = 0
-                        break
-                    self._pending_sync += 1
-                    self._lut_insert(key, value)
-                first = False
-                lane = pos_lane[p]
-                flat[gi] = value & _CODE_MASK
-                flat[gj] = (value >> _CODE_BITS) & _CODE_MASK
-                if value & _FLAG_FIELD:
-                    if value & _CHANGED_BIT:
-                        changed[lane] = True
-                    if value & _RANK_FIELD:
-                        rank_counts[lane] += 1
-                    if value & _RESET_BIT:
-                        reset_counts[lane] += 1
-                p += 1
-        if self._lut is None and self._pending_sync >= (
-            _SYNC_BASE + (self._sk.size >> 3)
-        ):
-            self._sync_lookup()
-        if changed_any:
-            for lane in table:
-                if self._lane_mode[lane] == "table":
-                    changed[lane] = True
-        return demoted
-
     def _advance_block(self, active: List[int], count: int) -> None:
         table = [k for k in active if self._lane_mode[k] == "table"]
         already_object = [
@@ -866,15 +653,6 @@ class BatchedArraySimulator:
                     )
                 self._cursor = 0
             seg = min(count - done, self._chunk - self._cursor)
-            if self._segment_wants_kernel(table, seg):
-                kernel_demoted = self._run_segment_kernel(
-                    table, seg, count - done - seg
-                )
-                self._cursor += seg
-                done += seg
-                for lane in kernel_demoted:
-                    table.remove(lane)
-                continue
             consumed, demoted = self._run_segment(table, seg)
             self._cursor += consumed
             done += consumed

@@ -14,6 +14,7 @@ queries.  Endpoints::
     GET  /studies/<id>            progress (done/total, per-backend,
                                   queue depth, shards); ?watch=SECONDS
                                   long-polls until progress changes
+                                  (at most ``MAX_WATCH_SECONDS``)
     GET  /studies/<id>/rows       completed rows as JSON
     GET  /studies/<id>/rows.csv   completed rows as flat CSV
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -41,6 +43,12 @@ from ..experiments.study import ExperimentSpec, RunRow, Study, plan_units
 from .queue import JobQueue
 
 __all__ = ["StudyService", "make_server", "serve"]
+
+#: Longest ``?watch=`` long-poll one request may hold a handler thread.
+MAX_WATCH_SECONDS = 25.0
+
+#: Largest ``POST /studies`` body accepted; longer bodies get 413 unread.
+MAX_BODY_BYTES = 1 << 20
 
 
 class StudyService:
@@ -230,7 +238,7 @@ class StudyService:
             "shards": len(store.shard_paths()),
         }
 
-    def watch(self, study_id: str, timeout: float = 25.0,
+    def watch(self, study_id: str, timeout: float = MAX_WATCH_SECONDS,
               interval: float = 0.25) -> dict:
         """Long-poll :meth:`progress` until ``done`` changes or timeout."""
         baseline = self.progress(study_id)
@@ -330,10 +338,15 @@ class _Handler(BaseHTTPRequestHandler):
                 if tail in ("", "progress"):
                     watch = self._query().get("watch")
                     if watch is not None:
-                        self._send_json(
-                            self.service.watch(
-                                study_id, timeout=float(watch)
+                        timeout = _watch_seconds(watch)
+                        if timeout is None:
+                            self._error(
+                                400, f"watch must be a finite number of "
+                                f"seconds, got {watch!r}"
                             )
+                            return
+                        self._send_json(
+                            self.service.watch(study_id, timeout=timeout)
                         )
                     else:
                         self._send_json(self.service.progress(study_id))
@@ -363,6 +376,15 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                self._error(400, f"negative Content-Length {length}")
+                return
+            if length > MAX_BODY_BYTES:
+                self._error(
+                    413, f"body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                )
+                return
             payload = json.loads(self.rfile.read(length) or b"{}")
             summary = self.service.submit(payload)
             self._send_json(summary, status=201)
@@ -371,6 +393,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, str(error))
         except Exception as error:  # pragma: no cover - defensive
             self._error(500, f"{type(error).__name__}: {error}")
+
+
+def _watch_seconds(value: str) -> Optional[float]:
+    """Parse a ``?watch=`` value, clamped to ``[0, MAX_WATCH_SECONDS]``.
+
+    Returns ``None`` for non-numeric and non-finite values.
+    """
+    try:
+        seconds = float(value)
+    except ValueError:
+        return None
+    if not math.isfinite(seconds):
+        return None
+    return min(max(seconds, 0.0), MAX_WATCH_SECONDS)
 
 
 def make_server(

@@ -1,25 +1,48 @@
-"""Tests for the experiment drivers (small parameterizations).
+"""Tests for the paper's study presets (small parameterizations).
 
-The benchmarks run the paper-scale versions; these tests only check that each
-driver produces structurally correct, plausible output quickly.
+Each preset is driven the way callers use it — ``Study(<preset>_specs(...))``
+reduced through ``<preset>_result_from_rows`` — with the engine and seed
+pinned.  The benchmarks run the paper-scale versions; these tests only check
+that each preset produces structurally correct, plausible output quickly.
 """
 
 import pytest
 
 from repro.core.errors import ExperimentError
-from repro.experiments.comparison import format_comparison, run_comparison
-from repro.experiments.fault_injection import (
-    format_fault_injection,
-    run_fault_injection,
+from repro.experiments.comparison import (
+    comparison_result_from_rows,
+    comparison_specs,
+    format_comparison,
 )
-from repro.experiments.figure2 import format_figure2, run_figure2
-from repro.experiments.figure3 import format_figure3, run_figure3
-from repro.experiments.scaling import format_scaling, run_scaling
+from repro.experiments.fault_injection import (
+    fault_injection_result_from_rows,
+    fault_injection_specs,
+    format_fault_injection,
+)
+from repro.experiments.figure2 import (
+    figure2_result_from_rows,
+    figure2_specs,
+    format_figure2,
+)
+from repro.experiments.figure3 import (
+    figure3_result_from_rows,
+    figure3_specs,
+    format_figure3,
+)
+from repro.experiments.scaling import (
+    format_scaling,
+    scaling_result_from_rows,
+    scaling_specs,
+)
+from repro.experiments.study import Study
 
 
 class TestFigure2Driver:
     def test_series_structure_and_recovery(self):
-        result = run_figure2(n=64, random_state=0, samples=80)
+        specs = figure2_specs(
+            n_values=(64,), samples=80, engine="reference", random_state=0
+        )
+        result = figure2_result_from_rows(Study(specs, name="figure2").run())
         assert result.n == 64
         assert len(result.interactions) == len(result.ranked_agents)
         assert len(result.interactions) == len(result.average_phase)
@@ -34,7 +57,10 @@ class TestFigure2Driver:
         assert rows[0]["interactions_over_n2"] == 0.0
 
     def test_formatting_contains_key_facts(self):
-        result = run_figure2(n=32, random_state=1, samples=40)
+        specs = figure2_specs(
+            n_values=(32,), samples=40, engine="reference", random_state=1
+        )
+        result = figure2_result_from_rows(Study(specs, name="figure2").run())
         text = format_figure2(result)
         assert "Figure 2" in text
         assert "ranked agents" in text
@@ -43,7 +69,10 @@ class TestFigure2Driver:
 
 class TestFigure3Driver:
     def test_aggregate_engine_sweep(self):
-        result = run_figure3(n_values=(64, 128), repetitions=4, engine="aggregate")
+        specs = figure3_specs(
+            n_values=(64, 128), repetitions=4, engine="aggregate"
+        )
+        result = figure3_result_from_rows(Study(specs, name="figure3").run())
         assert set(result.samples) == {64, 128}
         for n in (64, 128):
             for fraction in result.fractions:
@@ -56,24 +85,33 @@ class TestFigure3Driver:
         assert "Figure 3" in text and "frac 0.5" in text
 
     def test_reference_engine_agrees_roughly_with_aggregate(self):
-        aggregate = run_figure3(
-            n_values=(48,), fractions=(0.5,), repetitions=6, engine="aggregate"
-        )
-        reference = run_figure3(
-            n_values=(48,), fractions=(0.5,), repetitions=6, engine="reference"
+        aggregate, reference = (
+            figure3_result_from_rows(
+                Study(
+                    figure3_specs(
+                        n_values=(48,), fractions=(0.5,), repetitions=6,
+                        engine=engine,
+                    ),
+                    name="figure3",
+                ).run()
+            )
+            for engine in ("aggregate", "reference")
         )
         assert aggregate.mean(48, 0.5) == pytest.approx(reference.mean(48, 0.5), rel=0.6)
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            run_figure3(engine="magic")
+            figure3_specs(engine="magic")
         with pytest.raises(ExperimentError):
-            run_figure3(repetitions=0)
+            figure3_specs(repetitions=0)
 
 
 class TestScalingDriver:
     def test_normalized_times_are_flat(self):
-        result = run_scaling(n_values=(64, 256), repetitions=4, engine="aggregate")
+        specs = scaling_specs(
+            n_values=(64, 256), repetitions=4, engine="aggregate"
+        )
+        result = scaling_result_from_rows(Study(specs, name="scaling").run())
         rows = result.rows()
         assert len(rows) == 2
         values = [row["mean_over_n2_logn"] for row in rows]
@@ -82,16 +120,20 @@ class TestScalingDriver:
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            run_scaling(engine="magic")
+            scaling_specs(engine="magic")
 
 
 class TestComparisonDriver:
     def test_fresh_comparison_structure(self):
-        result = run_comparison(
+        specs = comparison_specs(
             n_values=(16,),
             repetitions=2,
             protocols=("cai-ranking", "stable-ranking"),
             max_interactions_factor=600,
+            engine="reference",
+        )
+        result = comparison_result_from_rows(
+            Study(specs, name="comparison").run(), workload="fresh"
         )
         rows = result.rows()
         assert {row["protocol"] for row in rows} == {"cai-ranking", "stable-ranking"}
@@ -103,26 +145,34 @@ class TestComparisonDriver:
         assert "Baseline comparison" in format_comparison(result)
 
     def test_corrupted_workload(self):
-        result = run_comparison(
+        specs = comparison_specs(
             n_values=(16,),
             repetitions=2,
             workload="corrupted",
             protocols=("stable-ranking",),
             max_interactions_factor=1500,
+            engine="reference",
+        )
+        result = comparison_result_from_rows(
+            Study(specs, name="comparison").run(), workload="corrupted"
         )
         assert result.rows()[0]["converged_fraction"] == 1.0
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            run_comparison(workload="nope")
+            comparison_specs(workload="nope")
         with pytest.raises(ExperimentError):
-            run_comparison(protocols=("unknown-protocol",))
+            comparison_specs(protocols=("unknown-protocol",))
 
 
 class TestFaultInjectionDriver:
     def test_all_faults_recover(self):
-        result = run_fault_injection(
-            n_values=(16,), repetitions=2, max_interactions_factor=2000
+        specs = fault_injection_specs(
+            n_values=(16,), repetitions=2, max_interactions_factor=2000,
+            engine="reference",
+        )
+        result = fault_injection_result_from_rows(
+            Study(specs, name="fault-injection").run()
         )
         rows = result.rows()
         assert {row["fault"] for row in rows} == {
@@ -135,9 +185,9 @@ class TestFaultInjectionDriver:
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            run_fault_injection(faults=("meteor_strike",))
+            fault_injection_specs(faults=("meteor_strike",))
         with pytest.raises(ExperimentError):
-            run_fault_injection(repetitions=0)
+            fault_injection_specs(repetitions=0)
 
     def test_empty_cells_report_zero_instead_of_raising(self):
         # Regression: an empty cell used to blow up the summary (empty

@@ -1,73 +1,58 @@
-"""Tests for the experiment harness, CSV recording and ASCII rendering."""
+"""Tests for seeded repetitions, CSV recording and ASCII rendering."""
 
 import pytest
 
-from repro.baselines.cai_ranking import CaiRanking
 from repro.core.errors import ExperimentError
 from repro.experiments.ascii_plot import ascii_plot, format_table
-from repro.experiments.harness import ExperimentRunner
 from repro.experiments.recording import read_csv, write_csv, write_json
+from repro.experiments.study import ExperimentSpec, Study
 
 
-class TestExperimentRunner:
+def cai_spec(**overrides):
+    defaults = dict(
+        variant="cai-ranking",
+        protocol="cai-ranking",
+        n_values=(8,),
+        seeds=4,
+        max_interactions_factor=100_000 / 64,
+        random_state=0,
+    )
+    defaults.update(overrides)
+    return ExperimentSpec(**defaults)
+
+
+class TestSeededRepetitions:
+    """Repeated seeded runs of one protocol go through :class:`Study`."""
+
     def test_runs_and_summarizes(self):
-        runner = ExperimentRunner(
-            protocol_factory=lambda: CaiRanking(8),
-            max_interactions=100_000,
-            random_state=0,
-        )
-        sweep = runner.run(repetitions=4)
-        assert len(sweep.records) == 4
-        assert sweep.convergence_rate() == 1.0
-        summaries = sweep.summary_by_n(lambda record: record.normalized_interactions)
-        assert set(summaries) == {8}
-        assert summaries[8].count == 4
-        assert all(row["protocol"] == "cai-ranking" for row in sweep.rows())
+        result = Study(cai_spec(), name="repetitions").run()
+        assert len(result.rows) == 4
+        assert result.convergence_rate() == 1.0
+        summaries = result.summary(lambda row: row.normalized_interactions)
+        assert set(summaries) == {("cai-ranking", 8)}
+        assert summaries[("cai-ranking", 8)].count == 4
+        assert all(row.protocol == "cai-ranking" for row in result.rows)
 
     def test_runs_are_deterministic_per_master_seed(self):
-        def build():
-            return ExperimentRunner(
-                protocol_factory=lambda: CaiRanking(8),
-                max_interactions=100_000,
-                random_state=42,
-            )
+        def run():
+            spec = cai_spec(seeds=3, random_state=42)
+            return Study(spec, name="repetitions").run()
 
-        first = build().run(repetitions=3)
-        second = build().run(repetitions=3)
-        assert [r.interactions for r in first.records] == [
-            r.interactions for r in second.records
+        first, second = run(), run()
+        assert [r.interactions for r in first.rows] == [
+            r.interactions for r in second.rows
         ]
 
-    def test_run_until_predicate(self):
-        runner = ExperimentRunner(
-            protocol_factory=lambda: CaiRanking(10),
-            max_interactions=200_000,
-            random_state=1,
-        )
-        sweep = runner.run_until(
-            repetitions=2,
-            predicate=lambda config: len(set(config.ranks())) >= 5,
-        )
-        assert all(record.converged for record in sweep.records)
-
-    def test_extras_callback(self):
-        runner = ExperimentRunner(
-            protocol_factory=lambda: CaiRanking(8),
-            max_interactions=100_000,
-            random_state=2,
-        )
-        sweep = runner.run(
-            repetitions=2,
-            extras=lambda result, simulator: {"ranked": result.configuration.ranked_count()},
-        )
-        assert all(record.extras["ranked"] == 8 for record in sweep.records)
+    def test_extractors_attach_per_run_extras(self):
+        spec = cai_spec(seeds=2, random_state=2, extractors=("ranked_agents",))
+        result = Study(spec, name="repetitions").run()
+        assert all(row.extras["ranked_agents"] == 8 for row in result.rows)
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            ExperimentRunner(lambda: CaiRanking(4), max_interactions=0)
-        runner = ExperimentRunner(lambda: CaiRanking(4), max_interactions=10)
+            cai_spec(max_interactions_factor=0)
         with pytest.raises(ExperimentError):
-            runner.run(repetitions=0)
+            cai_spec(seeds=0)
 
 
 class TestRecording:

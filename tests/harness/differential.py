@@ -213,7 +213,6 @@ def run_batched(
     stop_on_convergence: bool = True,
     cache: Optional[EngineCache] = None,
     metrics_factory: Optional[Callable[[], object]] = None,
-    use_soa_kernel: bool = False,
     topology=None,
 ) -> List[Trajectory]:
     """Run a seed group through one lockstep batched simulator.
@@ -233,7 +232,6 @@ def run_batched(
         ),
         convergence_interval=n,
         cache=cache if cache is not None else EngineCache(),
-        use_soa_kernel=use_soa_kernel,
         topology=topology,
     )
     return [

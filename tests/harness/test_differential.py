@@ -94,27 +94,6 @@ class TestTrajectoryMatrix:
                     expected, actual, context=f"{engine} seed={seed}"
                 )
 
-    @pytest.mark.parametrize("n", [8, 32])
-    def test_soa_kernel_path_keeps_bit_identity(self, n):
-        # The SoA kernel lockstep path is opt-in (the table walk wins on
-        # study-shaped workloads) but must stay exact: same matrix, with
-        # the kernel's decline-resolving walk handling every segment.
-        serial = [
-            run_serial("array", StableRanking, n, seed, budget=3000 * n * n)
-            for seed in SEEDS
-        ]
-        batched = run_batched(
-            StableRanking,
-            n,
-            SEEDS,
-            budget=3000 * n * n,
-            use_soa_kernel=True,
-        )
-        for seed, expected, actual in zip(SEEDS, serial, batched):
-            assert_identical(
-                expected, actual, context=f"kernel-path n={n} seed={seed}"
-            )
-
     def test_batched_convergence_dropout_keeps_bit_identity(self):
         # Seeds converge at different times; lanes that converge mid-run
         # are masked out while the rest continue.  Every lane must still

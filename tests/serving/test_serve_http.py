@@ -7,7 +7,9 @@ rows — mirroring what the CI serving-smoke job does across processes.
 """
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -162,6 +164,68 @@ class TestHTTPEndToEnd:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._get(f"{base}/nonsense")
         assert excinfo.value.code == 404
+
+
+class TestHTTPInputBounds:
+    """Bad or oversized client input gets a prompt 4xx, never a 500 or a
+    handler thread held open."""
+
+    @pytest.fixture()
+    def served(self, tmp_path):
+        httpd, service = make_server(tmp_path / "served", port=0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        yield httpd.server_address[1], service
+        httpd.shutdown()
+        httpd.server_close()
+
+    def _status(self, url):
+        try:
+            with urllib.request.urlopen(url, timeout=30) as response:
+                return response.status
+        except urllib.error.HTTPError as error:
+            assert "error" in json.loads(error.read())
+            return error.code
+
+    def test_watch_rejects_non_finite_and_clamps(self, served):
+        port, service = served
+        study_id = service.submit(
+            {"name": "s", "specs": [spec().as_dict()]}
+        )["study"]
+        timeouts = []
+        real_watch = service.watch
+
+        def spy(study, timeout):
+            timeouts.append(timeout)
+            return real_watch(study, timeout=min(timeout, 0.0))
+
+        service.watch = spy
+        base = f"http://127.0.0.1:{port}/studies/{study_id}?watch="
+        expected = {"abc": 400, "nan": 400, "inf": 400, "-5": 200, "1e9": 200}
+        for value, status in expected.items():
+            started = time.monotonic()
+            assert self._status(base + value) == status, value
+            assert time.monotonic() - started < 30, value
+        # Only the two finite values reach the service, clamped to
+        # [0, MAX_WATCH_SECONDS] — the default long-poll of 25 s.
+        assert timeouts == [0.0, 25.0]
+
+    def _raw_post(self, port, length):
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /studies HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            sock.settimeout(1.0)
+            return sock.recv(4096).decode()
+
+    def test_negative_content_length_is_rejected_unread(self, served):
+        port, _ = served
+        assert self._raw_post(port, -1).startswith("HTTP/1.0 400")
+
+    def test_oversized_body_is_rejected_unread(self, served):
+        port, _ = served
+        assert self._raw_post(port, 2 << 20).startswith("HTTP/1.0 413")
 
 
 class TestOperatorListing:

@@ -2,9 +2,8 @@
 
 Downstream users interact with the library through ``import repro``; these
 tests pin the advertised names, their re-export consistency and the basic
-metadata so accidental API breakage is caught — including the deprecated
-``run_*`` driver shims, whose signatures and result shapes must keep
-working until they are removed.
+metadata so accidental API breakage is caught, and pin the removal of the
+execution paths that were deleted in 2.0.0.
 """
 
 import pytest
@@ -98,65 +97,102 @@ def test_backend_registry_is_exported():
     assert repro.baselines.CaiStyleRanking is repro.baselines.CaiRanking
 
 
-class TestDeprecatedDriverShims:
-    """The legacy ``run_*`` entry points stay callable with their original
-    signatures, warn about their deprecation, and return the legacy result
-    types (now assembled from a :class:`~repro.experiments.study.Study`)."""
+class TestPresetEntryPoints:
+    """Each paper preset runs from the public names alone:
+    ``<preset>_result_from_rows(Study(<preset>_specs(...)).run())`` returns
+    the preset's result type."""
 
-    def test_run_scaling_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_scaling"):
-            result = repro.experiments.run_scaling(
-                n_values=(8,), repetitions=2, engine="aggregate", random_state=0
-            )
+    def test_scaling_preset(self):
+        specs = repro.experiments.scaling_specs(
+            n_values=(8,), repetitions=2, engine="aggregate", random_state=0
+        )
+        result = repro.experiments.scaling_result_from_rows(
+            repro.experiments.Study(specs, name="scaling").run()
+        )
         assert isinstance(result, repro.experiments.ScalingResult)
         assert result.engine == "aggregate"
         assert len(result.interactions[8]) == 2
         assert result.rows()[0]["runs"] == 2
 
-    def test_run_comparison_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_comparison"):
-            result = repro.experiments.run_comparison(
-                n_values=(8,),
-                repetitions=1,
-                protocols=("stable-ranking",),
-                max_interactions_factor=2000,
-            )
+    def test_comparison_preset(self):
+        specs = repro.experiments.comparison_specs(
+            n_values=(8,),
+            repetitions=1,
+            protocols=("stable-ranking",),
+            max_interactions_factor=2000,
+            engine="reference",
+        )
+        result = repro.experiments.comparison_result_from_rows(
+            repro.experiments.Study(specs, name="comparison").run(),
+            workload="fresh",
+        )
         assert isinstance(result, repro.experiments.ComparisonResult)
         assert ("stable-ranking", 8) in result.times
         assert result.overhead[("stable-ranking", 8)] > 0
 
-    def test_run_fault_injection_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_fault_injection"):
-            result = repro.experiments.run_fault_injection(
-                n_values=(8,),
-                repetitions=1,
-                faults=("duplicate_rank",),
-                max_interactions_factor=2000,
-            )
+    def test_fault_injection_preset(self):
+        specs = repro.experiments.fault_injection_specs(
+            n_values=(8,),
+            repetitions=1,
+            faults=("duplicate_rank",),
+            max_interactions_factor=2000,
+            engine="reference",
+        )
+        result = repro.experiments.fault_injection_result_from_rows(
+            repro.experiments.Study(specs, name="fault-injection").run()
+        )
         assert isinstance(result, repro.experiments.FaultInjectionResult)
         assert ("duplicate_rank", 8) in result.recovery
 
-    def test_run_figure2_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_figure2"):
-            result = repro.experiments.run_figure2(n=16, samples=20)
+    def test_figure2_preset(self):
+        specs = repro.experiments.figure2_specs(
+            n_values=(16,), samples=20, engine="reference", random_state=0
+        )
+        result = repro.experiments.figure2_result_from_rows(
+            repro.experiments.Study(specs, name="figure2").run()
+        )
         assert isinstance(result, repro.experiments.Figure2Result)
         assert result.n == 16
         assert len(result.interactions) == len(result.ranked_agents)
 
-    def test_run_figure3_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_figure3"):
-            result = repro.experiments.run_figure3(
-                n_values=(24,), fractions=(0.5,), repetitions=2, engine="aggregate"
-            )
+    def test_figure3_preset(self):
+        specs = repro.experiments.figure3_specs(
+            n_values=(24,), fractions=(0.5,), repetitions=2, engine="aggregate"
+        )
+        result = repro.experiments.figure3_result_from_rows(
+            repro.experiments.Study(specs, name="figure3").run()
+        )
         assert isinstance(result, repro.experiments.Figure3Result)
         assert len(result.samples[24][0.5]) == 2
 
-    def test_shim_validation_still_raises(self):
+    def test_spec_builders_validate_arguments(self):
         from repro.core.errors import ExperimentError
 
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ExperimentError):
-                repro.experiments.run_figure3(engine="magic")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ExperimentError):
-                repro.experiments.run_comparison(workload="nope")
+        with pytest.raises(ExperimentError):
+            repro.experiments.figure3_specs(engine="magic")
+        with pytest.raises(ExperimentError):
+            repro.experiments.comparison_specs(workload="nope")
+        with pytest.raises(ExperimentError):
+            repro.experiments.fault_injection_specs(repetitions=0)
+
+
+def test_removed_execution_paths_stay_removed():
+    # ``Study`` is the one way to run an experiment and the lockstep table
+    # walk the one way the batched engine advances lanes; these names were
+    # second paths beside them.
+    for name in (
+        "run_figure2",
+        "run_figure3",
+        "run_scaling",
+        "run_comparison",
+        "run_fault_injection",
+        "ExperimentRunner",
+    ):
+        assert not hasattr(repro.experiments, name)
+        assert name not in repro.experiments.__all__
+    from repro.core.batched_engine import BatchedArraySimulator
+
+    with pytest.raises(TypeError, match="use_soa_kernel"):
+        BatchedArraySimulator(
+            [repro.StableRanking(8)], random_states=[0], use_soa_kernel=True
+        )
