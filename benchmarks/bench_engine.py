@@ -44,13 +44,13 @@ engine speedups from the recorded timings:
     which dominates the ``Θ(n² log n)`` total of paper-scale runs and is
     where the array engine's bulk no-op elimination pays.
 ``epidemic_throughput``
-    The one-way epidemic at n=256 — a protocol whose 4-state space compiles
-    to complete dense ``(S × S)`` tables.
+    The one-way epidemic at n=256 — a 4-state protocol whose SoA kernel
+    (the infection fixpoint) consumes nearly every chunk on the lazy table
+    path.
 ``burman_throughput`` / ``cai_throughput`` / ``token_counter_throughput``
     The three comparison baselines at n=64 (matched reference/array pairs,
-    pre-warmed caches).  Burman runs on the lazy tabulated path; Cai on
-    complete dense tables (its n=64 seed states exactly fit the dense
-    budget — larger populations would go lazy); and the token counter —
+    pre-warmed caches).  Burman and Cai run on the lazy tabulated path;
+    the token counter —
     whose GS leader-election substrate consumes randomness — on the
     declared object fallback, so its pair documents the fallback's cost
     rather than a speedup.
@@ -467,7 +467,7 @@ def test_study_cell_batched_persisted_warm(benchmark):
 
 
 # ----------------------------------------------------------------------
-# One-way epidemic n=256 (dense tables)
+# One-way epidemic n=256 (lazy tables + SoA kernel)
 # ----------------------------------------------------------------------
 def test_epidemic_simulation_throughput(benchmark):
     """Interactions per second for the cheapest protocol (one-way epidemic)."""
@@ -490,9 +490,9 @@ def test_epidemic_simulation_throughput(benchmark):
 
 
 def test_array_engine_epidemic_throughput(benchmark):
-    """Dense-table array engine on the same epidemic workload."""
+    """Array engine (lazy tables + SoA kernel) on the same epidemic workload."""
     simulator = ArraySimulator(OneWayEpidemicProtocol(EPIDEMIC_N), random_state=1)
-    assert simulator.mode == "dense"
+    assert simulator.mode == "lazy"
 
     def run():
         simulator.run(

@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-ssr",
-    version="2.0.0",
+    version="3.0.0",
     description=(
         "Reproduction of 'Silent Self-Stabilizing Ranking: Time Optimal "
         "and Space Efficient' (ICDCS 2025)"

@@ -251,9 +251,20 @@ class BurmanStyleRanking(RankingProtocol[AgentState]):
         """``Θ(n)``: the leader's rank-1-with-counter states dominate."""
         counter_states = self.n  # rank 1 combined with a counter in {2, …, n+1}
         reset_states = (self._reset.r_max + 1) * (self._reset.d_max + 1)
-        le_states = self._l_max * self._leader_election.coin_count_init * 4
+        # n = 2 needs no coin count, yet its agents still pass through
+        # leader-election states: count them as a count of one.
+        coins = max(1, self._leader_election.coin_count_init)
+        le_states = self._l_max * coins * 4
         unranked_states = self._l_max
         return counter_states + 2 * (reset_states + le_states + unranked_states)
 
     def state_space_size(self) -> int:
         return self.n + self.overhead_states()
+
+    def describe(self) -> dict:
+        info = super().describe()
+        if self.n == 2:
+            # As in StableRanking.describe: the n = 2 one-head rule gets
+            # its own table-store address.
+            info["coin_count_init"] = self._leader_election.coin_count_init
+        return info

@@ -74,15 +74,6 @@ class CaiRanking(RankingProtocol[CaiState]):
     def codec_fields(self):
         return ("rank",)
 
-    def seed_states(self):
-        """The complete concrete state space: one state per label.
-
-        Lets the array engine compile *complete* dense tables (for small
-        ``n``) that cover every self-stabilization start, not just the
-        closure of the all-ones designated configuration.
-        """
-        return [CaiState(rank=label) for label in range(1, self.n + 1)]
-
     def has_converged(self, configuration: Configuration[CaiState]) -> bool:
         return configuration.is_valid_ranking()
 

@@ -62,18 +62,11 @@ from .array_engine import (
     _RESET_BIT,
     ArraySimulator,
     EngineCache,
-    _DenseKernel,
     _LazyKernel,
 )
-from .codec import compile_dense_tables
 from .configuration import Configuration
 from .jit_engine import batched_lockstep_loop
-from .errors import (
-    CodecError,
-    RandomnessConsumed,
-    SimulationLimitExceeded,
-    StateSpaceTooLarge,
-)
+from .errors import CodecError, SimulationLimitExceeded
 from .metrics import MetricsCollector
 from .protocol import PopulationProtocol
 from .rng import RandomState
@@ -115,7 +108,7 @@ class BatchedArraySimulator:
     metrics:
         Optional per-lane :class:`MetricsCollector` list (all lanes or
         none, identical ``interval`` — the lockstep invariant).
-    convergence_interval, chunk_size, max_dense_states, cache:
+    convergence_interval, chunk_size, cache:
         As for :class:`~repro.core.array_engine.ArraySimulator`; shared
         by every lane.
     """
@@ -128,7 +121,6 @@ class BatchedArraySimulator:
         metrics: Optional[Sequence[Optional[MetricsCollector]]] = None,
         convergence_interval: Optional[int] = None,
         chunk_size: int = 4096,
-        max_dense_states: int = 64,
         cache: Optional[EngineCache] = None,
         topology=None,
     ):
@@ -184,15 +176,12 @@ class BatchedArraySimulator:
         if self._ci < 1:
             raise ValueError("convergence_interval must be positive")
         self._chunk = chunk_size
-        self._max_dense_states = max_dense_states
         self._cache = cache if cache is not None else EngineCache()
 
         self._codec = None
         self._kernel = None
         self._codes: Optional[np.ndarray] = None
         self._flat: Optional[np.ndarray] = None
-        self._dense_flat: Optional[np.ndarray] = None
-        self._S = 0
         self._mode = self._select_mode()
 
         if self._mode == "serial-fallback":
@@ -243,8 +232,7 @@ class BatchedArraySimulator:
         self._sk = np.empty(0, dtype=np.int64)
         self._sv = np.empty(0, dtype=np.int64)
         self._pending_sync = 0
-        if self._mode == "lazy":
-            self._grow_lut()
+        self._grow_lut()
 
         # Optional numba fast-forward through fully-warm lockstep steps
         # (``None`` without numba: the interpreted loop is the only path).
@@ -253,7 +241,7 @@ class BatchedArraySimulator:
         # Vectorized convergence screen over interned codes.
         self._screen = np.empty(0, dtype=bool)
         self._screen_len = 0
-        self._screen_enabled = self._mode in ("dense", "lazy")
+        self._screen_enabled = True
 
     # ------------------------------------------------------------------
     # Mode selection
@@ -266,9 +254,8 @@ class BatchedArraySimulator:
         if self._n >= _MAX_RANK:
             return "serial-fallback"
         codec = cache.codec
-        # Merge persisted tables (if a store is attached) before the first
-        # interning: a dense artifact restores the compiled tables outright
-        # and pair spills pre-warm the LUT's initial bulk scatter.
+        # Merge persisted pair spills (if a store is attached) before the
+        # first interning: they pre-warm the LUT's initial bulk scatter.
         cache.load_persisted(protocol)
         try:
             rows = [
@@ -279,34 +266,7 @@ class BatchedArraySimulator:
         self._codec = codec
         self._codes = np.stack(rows).astype(np.int64, copy=False)
         self._flat = self._codes.reshape(-1)
-        if cache.mode in (None, "dense"):
-            try:
-                if (
-                    cache.dense_tables is None
-                    or cache.dense_tables.size < codec.size
-                ):
-                    start_codes = sorted(
-                        {int(code) for row in rows for code in row}
-                    )
-                    declared = list(protocol.seed_states())
-                    if declared and len(declared) <= self._max_dense_states:
-                        start_codes.extend(
-                            codec.encode(state) for state in declared
-                        )
-                    cache.dense_tables = compile_dense_tables(
-                        protocol, codec, start_codes,
-                        max_states=self._max_dense_states,
-                    )
-                cache.mode = "dense"
-                self._kernel = _DenseKernel(cache.dense_tables)
-                self._S = cache.dense_tables.size
-                self._dense_flat = self._kernel.packed.reshape(-1)
-                return "dense"
-            except StateSpaceTooLarge:
-                cache.mode = "lazy"
-            except RandomnessConsumed:
-                cache.mode = "object"
-                return "serial-fallback"
+        cache.mode = "lazy"
         self._kernel = _LazyKernel(protocol, codec, cache)
         return "lazy"
 
@@ -320,7 +280,7 @@ class BatchedArraySimulator:
 
     @property
     def mode(self) -> str:
-        """``"dense"``, ``"lazy"`` or ``"serial-fallback"``."""
+        """``"lazy"`` or ``"serial-fallback"``."""
         return self._mode
 
     @property
@@ -523,7 +483,6 @@ class BatchedArraySimulator:
         # matters, not the arithmetic.
         gij = np.ascontiguousarray(np.concatenate([gi, gj], axis=0).T)
         flat = self._flat
-        dense_flat = self._dense_flat
         vals_block = np.empty((seg, width), dtype=np.int64)
         kbuf = np.empty(width, dtype=np.int64)
         nxt = np.empty(2 * width, dtype=np.int64)
@@ -535,16 +494,11 @@ class BatchedArraySimulator:
         while step < seg:
             if jit is not None:
                 # Fast-forward through consecutive fully-warm steps in one
-                # native call (direct-address tables only; the sorted-array
+                # native call (direct-address LUT only; the sorted-array
                 # fallback keeps the interpreted loop).  The returned step
                 # is the first with a miss, left untouched for the batch
                 # resolver below.
-                if dense_flat is not None:
-                    step = jit(
-                        flat, gij, dense_flat, self._S,
-                        vals_block, width, step, seg,
-                    )
-                elif self._lut is not None:
+                if self._lut is not None:
                     step = jit(
                         flat, gij, self._lut, _LUT_MAX_DIM,
                         vals_block, width, step, seg,
@@ -556,70 +510,61 @@ class BatchedArraySimulator:
             a = ab[:width]
             b = ab[width:]
             vals = vals_block[step]
-            if dense_flat is not None:
-                np.multiply(a, self._S, out=kbuf)
+            lut = self._lut
+            if lut is not None:
+                np.multiply(a, _LUT_MAX_DIM, out=kbuf)
                 kbuf += b
-                np.take(dense_flat, kbuf, out=vals)
+                np.take(lut, kbuf, out=vals)
+                misses = np.flatnonzero(vals < 0) if vals.min() < 0 else None
             else:
-                lut = self._lut
-                if lut is not None:
-                    np.multiply(a, _LUT_MAX_DIM, out=kbuf)
-                    kbuf += b
-                    np.take(lut, kbuf, out=vals)
-                    misses = (
-                        np.flatnonzero(vals < 0) if vals.min() < 0 else None
-                    )
+                keys = (a << _CODE_BITS) | b
+                sk = self._sk
+                if sk.size:
+                    pos = np.minimum(np.searchsorted(sk, keys), sk.size - 1)
+                    hit = sk[pos] == keys
+                    vals[:] = self._sv[pos]
                 else:
-                    keys = (a << _CODE_BITS) | b
-                    sk = self._sk
-                    if sk.size:
-                        pos = np.minimum(
-                            np.searchsorted(sk, keys), sk.size - 1
-                        )
-                        hit = sk[pos] == keys
-                        vals[:] = self._sv[pos]
-                    else:
-                        hit = np.zeros(width, dtype=bool)
-                        vals[:] = 0
-                    misses = None if hit.all() else np.flatnonzero(~hit)
-                if misses is not None:
-                    # All of a step's misses see settled codes, so they
-                    # resolve as one batch: a single kernel call with the
-                    # dispatch hoisted out of the per-pair loop, then one
-                    # bulk LUT scatter instead of per-miss inserts.  Key
-                    # order matches the old per-slot loop, so codec
-                    # interning — and every trajectory — is unchanged.
-                    miss_keys = [
-                        (int(a[slot]) << _CODE_BITS) | int(b[slot])
-                        for slot in misses
-                    ]
-                    values, raised_at, novel = (
-                        self._kernel.evaluate_packed_batch(miss_keys)
-                    )
-                    self._pending_sync += novel
-                    vals[misses] = values
-                    resolved = np.ones(len(miss_keys), dtype=bool)
-                    resolved[raised_at] = False
-                    self._lut_bulk_insert(
-                        np.asarray(miss_keys, dtype=np.int64)[resolved],
-                        np.asarray(values, dtype=np.int64)[resolved],
-                    )
-                    if self._lut is None and self._pending_sync >= (
-                        _SYNC_BASE + (self._sk.size >> 3)
-                    ):
-                        self._sync_lookup()
-                    raised = [int(misses[pos]) for pos in raised_at]
-                    if raised:
-                        keep = np.ones(width, dtype=bool)
-                        keep[raised] = False
-                        vals[raised] = 0
-                        flat[idx[:width][keep]] = vals[keep] & _CODE_MASK
-                        flat[idx[width:][keep]] = (
-                            vals[keep] >> _CODE_BITS
-                        ) & _CODE_MASK
-                        consumed = step + 1
-                        demoted = [table[slot] for slot in raised]
-                        break
+                    hit = np.zeros(width, dtype=bool)
+                    vals[:] = 0
+                misses = None if hit.all() else np.flatnonzero(~hit)
+            if misses is not None:
+                # All of a step's misses see settled codes, so they
+                # resolve as one batch: a single kernel call with the
+                # dispatch hoisted out of the per-pair loop, then one
+                # bulk LUT scatter instead of per-miss inserts.  Key
+                # order matches the old per-slot loop, so codec
+                # interning — and every trajectory — is unchanged.
+                miss_keys = [
+                    (int(a[slot]) << _CODE_BITS) | int(b[slot])
+                    for slot in misses
+                ]
+                values, raised_at, novel = (
+                    self._kernel.evaluate_packed_batch(miss_keys)
+                )
+                self._pending_sync += novel
+                vals[misses] = values
+                resolved = np.ones(len(miss_keys), dtype=bool)
+                resolved[raised_at] = False
+                self._lut_bulk_insert(
+                    np.asarray(miss_keys, dtype=np.int64)[resolved],
+                    np.asarray(values, dtype=np.int64)[resolved],
+                )
+                if self._lut is None and self._pending_sync >= (
+                    _SYNC_BASE + (self._sk.size >> 3)
+                ):
+                    self._sync_lookup()
+                raised = [int(misses[pos]) for pos in raised_at]
+                if raised:
+                    keep = np.ones(width, dtype=bool)
+                    keep[raised] = False
+                    vals[raised] = 0
+                    flat[idx[:width][keep]] = vals[keep] & _CODE_MASK
+                    flat[idx[width:][keep]] = (
+                        vals[keep] >> _CODE_BITS
+                    ) & _CODE_MASK
+                    consumed = step + 1
+                    demoted = [table[slot] for slot in raised]
+                    break
             np.bitwise_and(vals, _CODE_MASK, out=nxt[:width])
             np.right_shift(vals, _CODE_BITS, out=nxt[width:])
             nxt[width:] &= _CODE_MASK
@@ -778,7 +723,6 @@ class BatchedArraySimulator:
                 ),
                 convergence_interval=self._ci,
                 chunk_size=self._chunk,
-                max_dense_states=self._max_dense_states,
                 cache=self._cache,
                 topology=self._topology,
             )

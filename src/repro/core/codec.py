@@ -9,25 +9,13 @@ The array engine (:mod:`repro.core.array_engine`) stores a population as a
 numpy array of codes and simulates interactions with table lookups instead of
 Python-level transition calls.
 
-Two compilation strategies are built on top of the codec:
-
-* :func:`enumerate_reachable_states` computes the closure of a set of start
-  codes under the protocol's transition function by evaluating every ordered
-  pair of known states.  For protocols with a genuinely small concrete state
-  space (the one-way epidemic has 4) this terminates quickly and
-  :func:`compile_dense_tables` materializes complete ``(S × S)`` numpy lookup
-  tables.  The budget ``max_states`` bounds the attempt; protocols whose
-  concrete space is large — ``StableRanking``'s counters span
-  ``Θ(log² n)`` values with large constants — raise
-  :class:`~repro.core.errors.StateSpaceTooLarge` and are handled lazily by
-  the engine instead.
-* :func:`evaluate_pair` tabulates a single ordered state pair on scratch
-  copies.  It drives both the eager enumeration above and the engine's lazy
-  kernel path, and passes a *raising* rng probe to the transition: a protocol
-  that consumes randomness inside ``transition`` (the GS leader-election
-  substrate draws random tags) cannot be tabulated at all, and the resulting
-  :class:`~repro.core.errors.RandomnessConsumed` tells the engine to fall
-  back to the object path.
+:func:`evaluate_pair` tabulates a single ordered state pair on scratch
+copies.  It passes a *raising* rng probe to the transition: a protocol that
+consumes randomness inside ``transition`` (the GS leader-election substrate
+draws random tags) cannot be tabulated at all, and the resulting
+:class:`~repro.core.errors.RandomnessConsumed` tells the engine to fall back
+to the object path.  The array engine inlines the same tabulation in its
+lazy pair cache; the group-count engine calls it directly.
 
 Tabulation calls ``protocol.transition`` on scratch states, so protocol-level
 *diagnostic* counters (e.g. ``PropagateReset.triggered_count``) include the
@@ -39,19 +27,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from .errors import CodecError, RandomnessConsumed, StateSpaceTooLarge
+from .errors import CodecError, RandomnessConsumed
 from .protocol import PopulationProtocol
 
 __all__ = [
     "StateCodec",
-    "DenseTransitionTables",
     "PairOutcome",
-    "enumerate_reachable_states",
-    "compile_dense_tables",
     "evaluate_pair",
 ]
 
@@ -263,103 +248,3 @@ def evaluate_pair(
         rank_assigned=0 if rank is None else int(rank),
         reset_triggered=bool(result.reset_triggered),
     )
-
-
-def enumerate_reachable_states(
-    protocol: PopulationProtocol,
-    codec: StateCodec,
-    start_codes: Iterable[int],
-    max_states: int,
-) -> Dict[Tuple[int, int], PairOutcome]:
-    """Close ``start_codes`` under the transition function.
-
-    Evaluates every ordered pair of known states (two distinct agents may
-    hold the same state, so ``(a, a)`` pairs are included) until no new state
-    appears.  The pair set of any reachable configuration is a subset of the
-    pairs of individually reachable states, so this closure over-approximates
-    every trajectory.
-
-    Returns the full pair→outcome map; raises
-    :class:`~repro.core.errors.StateSpaceTooLarge` when more than
-    ``max_states`` states are discovered, and
-    :class:`~repro.core.errors.RandomnessConsumed` for protocols whose
-    transition consumes randomness.
-    """
-    list(start_codes)  # materialize side effects if a generator was passed
-    outcomes: Dict[Tuple[int, int], PairOutcome] = {}
-    while True:
-        size = codec.size
-        if size > max_states:
-            raise StateSpaceTooLarge(
-                f"{protocol.name}: state enumeration exceeded "
-                f"max_states={max_states} ({size} states found)"
-            )
-        new_pairs = [
-            (a, b)
-            for a in range(size)
-            for b in range(size)
-            if (a, b) not in outcomes
-        ]
-        if not new_pairs:
-            return outcomes
-        for a, b in new_pairs:
-            outcomes[(a, b)] = evaluate_pair(protocol, codec, a, b)
-            if codec.size > max_states:
-                raise StateSpaceTooLarge(
-                    f"{protocol.name}: state enumeration exceeded "
-                    f"max_states={max_states}"
-                )
-
-
-@dataclass
-class DenseTransitionTables:
-    """Complete ``(S × S)`` numpy lookup tables for a tabulated protocol.
-
-    ``next_initiator[a, b]`` / ``next_responder[a, b]`` are the successor
-    codes of the ordered interaction ``(a, b)``; ``changed``, ``rank``
-    (0 = no rank assigned) and ``reset`` mirror
-    :class:`~repro.core.protocol.TransitionResult`.
-    """
-
-    next_initiator: np.ndarray
-    next_responder: np.ndarray
-    changed: np.ndarray
-    rank: np.ndarray
-    reset: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """Number of states ``S`` covered by the tables."""
-        return self.next_initiator.shape[0]
-
-
-def compile_dense_tables(
-    protocol: PopulationProtocol,
-    codec: StateCodec,
-    start_codes: Iterable[int],
-    max_states: int = 128,
-) -> DenseTransitionTables:
-    """Enumerate the reachable state space and materialize dense tables.
-
-    Intended for protocols whose concrete state space is genuinely small
-    (one-way epidemics, two-state approximate-majority-style protocols, …).
-    Raises :class:`StateSpaceTooLarge` / :class:`RandomnessConsumed` exactly
-    like :func:`enumerate_reachable_states`; the array engine catches both
-    and degrades gracefully.
-    """
-    outcomes = enumerate_reachable_states(protocol, codec, start_codes, max_states)
-    size = codec.size
-    tables = DenseTransitionTables(
-        next_initiator=np.empty((size, size), dtype=np.int64),
-        next_responder=np.empty((size, size), dtype=np.int64),
-        changed=np.zeros((size, size), dtype=bool),
-        rank=np.zeros((size, size), dtype=np.int64),
-        reset=np.zeros((size, size), dtype=bool),
-    )
-    for (a, b), outcome in outcomes.items():
-        tables.next_initiator[a, b] = outcome.next_initiator
-        tables.next_responder[a, b] = outcome.next_responder
-        tables.changed[a, b] = outcome.changed
-        tables.rank[a, b] = outcome.rank_assigned
-        tables.reset[a, b] = outcome.reset_triggered
-    return tables

@@ -54,8 +54,8 @@ class CodecError(ReproError):
 class StateSpaceTooLarge(CodecError):
     """A state-space enumeration exceeded its ``max_states`` budget.
 
-    The array engine catches this to fall back from the precompiled dense
-    transition tables to the lazily tabulated kernel path.
+    Raised by the group-count engine's transition model when a protocol's
+    reachable state space outgrows its tabulation cap.
     """
 
 

@@ -2,12 +2,12 @@
 
 The array engine's table paths are numpy-vectorized but still pay Python
 dispatch per chunk step; with `numba <https://numba.pydata.org/>`_
-available, the innermost loops compile to native code.  Three loops are
-covered: the dense-table chunk walk (one compiled call per chunk), the
-lazy-mode walk (a compiled prefix over a sorted snapshot of the pair
-cache, delegating to the interpreted walk at the first un-snapshot pair),
-and the batched engine's lockstep step loop (compiled fast-forward
-through warm steps, returning to the interpreted loop at the first miss).
+available, the innermost loops compile to native code.  Two loops are
+covered: the lazy-mode walk (a compiled prefix over a sorted snapshot of
+the pair cache, delegating to the interpreted walk at the first
+un-snapshot pair), and the batched engine's lockstep step loop (compiled
+fast-forward through warm steps, returning to the interpreted loop at the
+first miss).
 numba is an *optional* dependency: this module imports it lazily and
 degrades explicitly — :func:`numba_unavailable_reason` answers why
 compilation is off (the backend registry surfaces that as its capability
@@ -76,49 +76,6 @@ def numba_unavailable_reason() -> Optional[str]:
     return "numba is not installed"
 
 
-#: Memoized compiled kernel (compilation is paid once per process).
-_COMPILED_DENSE_LOOP = None
-
-
-def _dense_chunk_loop():
-    """Compile (once) the dense-mode chunk walk as a native loop.
-
-    The loop mirrors ``ArraySimulator._advance``'s dense path exactly:
-    for each ordered pair, look up the packed transition, write both next
-    codes, and accumulate the changed/rank/reset flags — the same packed
-    layout (:data:`_CODE_MASK`, :data:`_CHANGED_BIT`, :data:`_RANK_FIELD`,
-    :data:`_RESET_BIT`), so trajectories stay bit-identical.
-    """
-    global _COMPILED_DENSE_LOOP
-    if _COMPILED_DENSE_LOOP is not None:
-        return _COMPILED_DENSE_LOOP
-    numba, _ = _probe_numba()
-    if numba is None:
-        return None
-
-    @numba.njit(cache=False)
-    def dense_loop(codes, initiators, responders, packed, size):
-        changed = False
-        ranks = 0
-        resets = 0
-        for index in range(len(initiators)):
-            i = initiators[index]
-            j = responders[index]
-            value = packed[codes[i] * size + codes[j]]
-            codes[i] = value & _CODE_MASK
-            codes[j] = (value >> _CODE_BITS) & _CODE_MASK
-            if value & _CHANGED_BIT:
-                changed = True
-            if value & _RANK_FIELD:
-                ranks += 1
-            if value & _RESET_BIT:
-                resets += 1
-        return changed, ranks, resets
-
-    _COMPILED_DENSE_LOOP = dense_loop
-    return dense_loop
-
-
 #: Memoized compiled lazy-walk kernel.
 _COMPILED_LAZY_WALK = None
 
@@ -181,10 +138,9 @@ def batched_lockstep_loop():
 
     Fast-forwards ``BatchedArraySimulator._run_segment`` through
     consecutive fully-warm steps: for each step, gather both codes of
-    every lane, look the packed outcome up in a flat direct-address table
-    (the dense table or the LUT mirror, both addressed ``a * dim + b``
-    with ``-1`` as the miss sentinel), and — only once every lane hit —
-    scatter the next codes back.  Returns the first step *not* applied
+    every lane, look the packed outcome up in the flat direct-address LUT
+    mirror (addressed ``a * dim + b`` with ``-1`` as the miss sentinel),
+    and — only once every lane hit — scatter the next codes back.  Returns the first step *not* applied
     (a step with at least one miss, left untouched for the interpreted
     loop to resolve), or ``seg`` when the segment completed.  Applied
     steps record their packed values in ``vals_block`` so the caller's
@@ -225,15 +181,10 @@ def batched_lockstep_loop():
 
 
 class JitArraySimulator(ArraySimulator):
-    """:class:`ArraySimulator` with numba-compiled chunk walks.
+    """:class:`ArraySimulator` with a numba-compiled lazy walk.
 
-    Dense mode (complete packed tables) is where a native loop pays off
-    most: the entire chunk becomes one compiled call with zero per-step
-    Python — applying every pair in order through the packed outcome
-    matrix, which is the dense walk's exact semantics (the parent's bulk
-    eliminations are optimizations with identical observable behaviour).
-    Lazy mode compiles the *warm prefix* of each walk: pairs already in
-    a sorted snapshot of the pair cache run natively, and the walk
+    The table mode compiles the *warm prefix* of each walk: pairs already
+    in a sorted snapshot of the pair cache run natively, and the walk
     returns to the interpreted parent at the first pair the snapshot
     misses (tabulation and demotion stay pure Python).  Object mode
     inherits the parent paths unchanged — its cost is protocol Python,
@@ -246,33 +197,10 @@ class JitArraySimulator(ArraySimulator):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._jit_loop = _dense_chunk_loop()
         self._jit_walk = _lazy_walk_loop()
         self._jit_sk: Optional[np.ndarray] = None
         self._jit_sv: Optional[np.ndarray] = None
         self._jit_snap_len = 0
-
-    def _process_chunk(self, pairs) -> None:
-        loop = self._jit_loop
-        if loop is None or self._mode != "dense":
-            super()._process_chunk(pairs)
-            return
-        kernel = self._kernel
-        changed, ranks, resets = loop(
-            self._codes_np,
-            pairs[:, 0],
-            pairs[:, 1],
-            kernel.packed.reshape(-1),
-            kernel.packed.shape[0],
-        )
-        # The walk paths keep the Python code list as the canonical view;
-        # mirror the natively updated array back into it.
-        self._code_list = self._codes_np.tolist()
-        self._interactions += len(pairs)
-        self._rank_assignments += ranks
-        self._resets += resets
-        if changed:
-            self._changed_since_check = True
 
     # ------------------------------------------------------------------
     # Compiled lazy walk

@@ -15,13 +15,13 @@ floor:
   load unions all spills (later wins per pair — outcomes are
   deterministic, so duplicates agree) and remaps the spill's private
   state codes onto the live codec.
-* **Dense tables** (``dense/``): the complete ``(S × S)`` transition
-  arrays for protocols whose reachable space enumerates, loaded with
-  ``np.load(mmap_mode="r")`` so N worker processes share one OS page
-  cache instead of N private copies.
 * **Group models** (``group/model-*``): the group-count engine's
   productive-transition model (tabulated codes + successor map), so e.g.
   the epidemic preset at n=10⁶ skips re-deriving transitions entirely.
+
+Entries written before version 3.0.0 may also hold a ``dense/`` artifact
+and a ``meta.json`` mode hint; nothing reads them any more, and they are
+left in place.
 
 Every artifact is a directory written to a temp sibling and atomically
 ``os.rename``d into place, so readers never observe a half-written
@@ -76,9 +76,6 @@ FORMAT_VERSION = 1
 #: one store across studies.
 ENV_VAR = "REPRO_TABLE_CACHE"
 
-#: Dense-array payload names, in manifest order.
-_DENSE_ARRAYS = ("next_initiator", "next_responder", "changed", "rank", "reset")
-
 
 class TableStoreError(RuntimeError):
     """A store artifact failed validation (treated as corrupt)."""
@@ -91,7 +88,6 @@ class TableStoreError(RuntimeError):
 _SESSION_STATS = {
     "pairs_loaded": 0,      # tabulated pairs merged from spills
     "spills_loaded": 0,     # readable spill artifacts merged
-    "dense_loaded": 0,      # dense table artifacts mmap-loaded
     "group_loaded": 0,      # group transition models restored
     "pairs_spilled": 0,     # pairs written out by this process
     "spills_written": 0,    # spill artifacts written by this process
@@ -315,30 +311,6 @@ class TableStoreEntry:
         except (OSError, ValueError):
             return None
 
-    # ---------------------------------------------------------------- meta
-    def mode_hint(self) -> Optional[str]:
-        """The engine mode a previous process resolved ("dense"/"lazy")."""
-        path = self.directory / "meta.json"
-        try:
-            meta = json.loads(path.read_text())
-        except OSError:
-            return None
-        except ValueError as error:
-            _discard_file(path, error)
-            return None
-        if meta.get("format") != FORMAT_VERSION:
-            return None
-        mode = meta.get("mode")
-        return mode if mode in ("dense", "lazy") else None
-
-    def save_mode_hint(self, mode: str) -> None:
-        if self.mode_hint() == mode:
-            return
-        self._ensure_key()
-        tmp = self.directory / f".meta-{uuid.uuid4().hex}"
-        tmp.write_text(json.dumps({"format": FORMAT_VERSION, "mode": mode}))
-        os.replace(tmp, self.directory / "meta.json")
-
     # --------------------------------------------------------------- pairs
     def write_pair_spill(
         self, states: Sequence, keys: np.ndarray, vals: np.ndarray
@@ -396,52 +368,6 @@ class TableStoreEntry:
                 _discard(spill, error)
         _SESSION_STATS["spills_loaded"] += len(spills)
         return spills
-
-    # --------------------------------------------------------------- dense
-    def write_dense(
-        self, states: Sequence, arrays: Dict[str, np.ndarray]
-    ) -> bool:
-        """Persist complete dense tables (first writer wins, then no-op)."""
-        if (self.directory / "dense").is_dir():
-            return False
-        if set(arrays) != set(_DENSE_ARRAYS):
-            raise TableStoreError(f"dense arrays {sorted(arrays)} unexpected")
-        manifest = {
-            "format": FORMAT_VERSION,
-            "kind": "dense",
-            "size": len(states),
-            **_encode_states(states),
-        }
-        self._ensure_key()
-        return _write_artifact(self.directory / "dense", manifest, arrays)
-
-    def load_dense(self) -> Optional[Tuple[list, Dict[str, np.ndarray]]]:
-        """``(states, mmapped arrays)`` for the dense artifact, if sound."""
-        dense = self.directory / "dense"
-        if not dense.is_dir():
-            return None
-        try:
-            manifest = _load_manifest(dense, "dense")
-            states = _decode_states(manifest)
-            size = int(manifest["size"])
-            if size != len(states):
-                raise TableStoreError(
-                    f"size {size} != {len(states)} states"
-                )
-            arrays = {
-                name: _load_npy(dense / f"{name}.npy")
-                for name in _DENSE_ARRAYS
-            }
-            for name, array in arrays.items():
-                if array.shape != (size, size):
-                    raise TableStoreError(
-                        f"{name} shape {array.shape} != ({size}, {size})"
-                    )
-        except Exception as error:
-            _discard(dense, error)
-            return None
-        _SESSION_STATS["dense_loaded"] += 1
-        return states, arrays
 
     # --------------------------------------------------------------- group
     def write_group_model(
@@ -532,14 +458,6 @@ class TableStoreEntry:
                     pair_count += int(manifest.get("count", 0))
                 except (OSError, ValueError):
                     pass
-        dense_size = None
-        try:
-            manifest = json.loads(
-                (self.directory / "dense" / "manifest.json").read_text()
-            )
-            dense_size = int(manifest.get("size", 0))
-        except (OSError, ValueError):
-            pass
         group_count = None
         group_dir = self.directory / "group"
         if group_dir.is_dir():
@@ -561,26 +479,12 @@ class TableStoreEntry:
             "name": self.name,
             "spills": spill_count,
             "pairs": pair_count,
-            "dense_states": dense_size,
             "group_states": group_count,
-            "mode": self.mode_hint(),
             "bytes": bytes_on_disk,
         }
 
     def clear(self) -> None:
         shutil.rmtree(self.directory, ignore_errors=True)
-
-
-def _discard_file(path: Path, error: Exception) -> None:
-    _SESSION_STATS["artifacts_discarded"] += 1
-    warnings.warn(
-        f"discarding unreadable table-store file {path} "
-        f"({type(error).__name__}: {error})"
-    )
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
 
 
 class TableStore:

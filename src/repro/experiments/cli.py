@@ -589,8 +589,6 @@ def _print_table_store_stats() -> None:
             f"loaded {stats['pairs_loaded']} pairs "
             f"from {stats['spills_loaded']} spill(s)"
         )
-    if stats["dense_loaded"]:
-        parts.append(f"loaded {stats['dense_loaded']} dense table(s)")
     if stats["group_loaded"]:
         parts.append(f"loaded {stats['group_loaded']} group model(s)")
     if stats["pairs_spilled"]:
@@ -638,9 +636,7 @@ def _cache_command(args) -> int:
             print(
                 f"  {info['name']}  "
                 f"pairs {info['pairs']} ({info['spills']} spills)  "
-                f"dense {info['dense_states'] or 0}  "
                 f"group {info['group_states'] or 0}  "
-                f"mode {info['mode'] or '-'}  "
                 f"{info['bytes']} bytes"
             )
         return 0

@@ -137,10 +137,16 @@ def append_jsonl_line(path, payload: dict, fsync: bool = False) -> None:
     released lease implies persisted rows.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     data = (json.dumps(payload, sort_keys=True) + "\n").encode()
     while True:
-        with path.open("ab") as handle:
+        # Compaction removes an emptied ``shards/`` directory, possibly
+        # between this mkdir and the open: recreate it and retry.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            handle = path.open("ab")
+        except FileNotFoundError:
+            continue
+        with handle:
             with _locked(handle):
                 # Compaction may unlink the path between our open and the
                 # lock; writing to the unlinked inode would lose the row.
@@ -166,12 +172,14 @@ def read_jsonl(path, strict: bool = True) -> List[dict]:
     malformed line anywhere else is real corruption and raises
     :class:`~repro.core.errors.ExperimentError` (``strict=False`` demotes
     those to warnings too, for operator tooling that must not die on one
-    bad store).
+    bad store).  A missing file — including one that compaction deletes
+    while this call runs — reads as empty.
     """
-    path = Path(path)
-    if not path.exists():
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
         return []
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    lines = [line for line in text.splitlines() if line.strip()]
     rows: List[dict] = []
     for index, line in enumerate(lines):
         try:
@@ -255,9 +263,16 @@ class ResultStore:
 
     def shard_paths(self) -> List[Path]:
         """Every shard file currently present, in stable (sorted) order."""
-        if not self.shards_directory.is_dir():
+        try:
+            names = os.listdir(self.shards_directory)
+        except FileNotFoundError:
+            # No shards yet, or a compaction just removed the directory.
             return []
-        return sorted(self.shards_directory.glob("*.jsonl"))
+        return sorted(
+            self.shards_directory / name
+            for name in names
+            if name.endswith(".jsonl") and not name.startswith(".")
+        )
 
     # ------------------------------------------------------------------
     # Spec provenance
@@ -287,9 +302,10 @@ class ResultStore:
         """All persisted rows keyed by cell; later duplicates win.
 
         Reads the union of the canonical ``rows.jsonl`` and every shard
-        under ``shards/`` (canonical first, shards in sorted order), so
-        resume and :class:`~repro.experiments.study.ResultSet` queries see
-        one consistent view whether rows were written by a single study
+        under ``shards/`` (canonical first, shards in sorted order, later
+        copies winning), so resume and
+        :class:`~repro.experiments.study.ResultSet` queries see one
+        consistent view whether rows were written by a single study
         process or by many serving workers.  Duplicates arise when a study
         is interrupted and re-run with an overlapping matrix, or when a
         reclaimed work-queue job re-runs — the cells are deterministic, so
@@ -297,10 +313,17 @@ class ResultStore:
         (a run killed mid-append) is skipped with a warning, so an
         interrupted study stays resumable; a malformed line anywhere else
         is real corruption and raises.
+
+        The shards are read *before* the canonical file.  A concurrent
+        :meth:`compact` appends a shard's rows to ``rows.jsonl`` before it
+        deletes the shard, so a shard that vanishes after listing has its
+        rows in the canonical file read afterwards; reading the canonical
+        file first would miss them.
         """
+        shard_rows = [read_jsonl(path) for path in self.shard_paths()]
         rows: Dict[CellKey, dict] = {}
-        for path in [self._rows_path] + self.shard_paths():
-            for row in read_jsonl(path):
+        for batch in [read_jsonl(self._rows_path)] + shard_rows:
+            for row in batch:
                 key = (row["variant"], int(row["n"]), int(row["seed_index"]))
                 rows[key] = row
         return rows

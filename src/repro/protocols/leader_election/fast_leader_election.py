@@ -2,9 +2,10 @@
 
 A deliberately simple leader-election protocol used inside the
 self-stabilizing ``StableRanking``: an agent declares itself leader after
-observing ``⌈log n⌉ + 1`` partner coins showing heads in a row; the first
-tails makes it give up (``leaderDone = 1`` without leadership).  With
-constant probability exactly one agent wins the lottery (Lemma 30).  Two
+observing ``⌈log n⌉ + 1`` partner coins showing heads in a row (one head
+at ``n = 2``, DESIGN.md substitution 6); the first tails makes it give up
+(``leaderDone = 1`` without leadership).  With constant probability
+exactly one agent wins the lottery (Lemma 30).  Two
 safety valves make the protocol self-stabilizing when composed with
 ``PropagateReset``:
 
@@ -82,7 +83,10 @@ class FastLeaderElection(LeaderElectionModule):
         self._l_max = l_max if l_max is not None else default_l_max(n)
         if self._l_max < 4:
             raise ProtocolError(f"L_max must be at least 4, got {self._l_max}")
-        self._coin_count_init = max(1, int(math.ceil(math.log2(n))))
+        # At n = 2 the responder's coin toggles exactly when the initiator
+        # observes it, so an initiator sees heads and tails alternate and
+        # two heads in a row never come: a single head must do.
+        self._coin_count_init = int(math.ceil(math.log2(n))) if n > 2 else 0
         self._on_become_waiting = on_become_waiting or self._default_become_waiting
         self._on_trigger_reset = on_trigger_reset or self._default_trigger_reset
         self._resets_triggered = 0

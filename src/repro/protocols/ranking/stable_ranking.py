@@ -250,7 +250,10 @@ class StableRanking(RankingProtocol[AgentState]):
         (``aliveCount × (waitCount ⊎ phase)``).
         """
         reset_states = (self._reset.r_max + 1) * (self._reset.d_max + 1)
-        le_states = self._l_max * self._leader_election.coin_count_init * 4
+        # n = 2 needs no coin count, yet its agents still pass through
+        # leader-election states: count them as a count of one.
+        coins = max(1, self._leader_election.coin_count_init)
+        le_states = self._l_max * coins * 4
         main_states = self._l_max * (self._wait_init + self._schedule.phase_count)
         return 2 * (reset_states + le_states + main_states)
 
@@ -269,6 +272,12 @@ class StableRanking(RankingProtocol[AgentState]):
             r_max=self._reset.r_max,
             d_max=self._reset.d_max,
         )
+        if self.n == 2:
+            # The n = 2 lottery needs one head (DESIGN.md substitution 6);
+            # naming it gives n = 2 table-store entries an address apart
+            # from those cached under the two-head rule, and leaves every
+            # n >= 3 address unchanged.
+            info["coin_count_init"] = self._leader_election.coin_count_init
         return info
 
     def consumes_randomness(self) -> bool:

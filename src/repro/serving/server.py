@@ -19,7 +19,8 @@ queries.  Endpoints::
     GET  /studies/<id>/rows.csv   completed rows as flat CSV
 
 ``<id>`` is the study directory name (``<name>-<hash12>``), returned by
-the submission response.  Submitting the same specs twice — or an
+the submission response; an id that is not a study directly under the
+root, or a path with further segments, answers 404.  Submitting the same specs twice — or an
 extended matrix — re-plans only the still-missing cells, exactly like
 resuming a batch study.
 """
@@ -190,8 +191,14 @@ class StudyService:
         )
 
     def _open(self, study_id: str):
+        # An id names one directory directly under the root: "", "." and
+        # ".." would resolve to the root or its parent.
         directory = self._root / study_id
-        if not (directory / "spec.json").exists():
+        if (
+            study_id in ("", ".", "..")
+            or directory.parent != self._root
+            or not (directory / "spec.json").exists()
+        ):
             raise ExperimentError(f"unknown study {study_id!r}")
         store = ResultStore.open(directory)
         spec_payload = store.read_spec()
@@ -335,7 +342,9 @@ class _Handler(BaseHTTPRequestHandler):
                 parts = path[len("/studies/"):].split("/")
                 study_id = parts[0]
                 tail = parts[1] if len(parts) > 1 else ""
-                if tail in ("", "progress"):
+                if len(parts) > 2:
+                    self._error(404, f"unknown path {path!r}")
+                elif tail in ("", "progress"):
                     watch = self._query().get("watch")
                     if watch is not None:
                         timeout = _watch_seconds(watch)

@@ -92,9 +92,8 @@ class TestBitIdentity:
         assert arr_result.interactions == ref_result.interactions
 
     def test_cai_adversarial_start_matches(self):
-        # Self-stabilization path: an arbitrary label multiset, which for
-        # small n runs on complete dense tables thanks to the protocol's
-        # declared seed states.
+        # Self-stabilization path: an arbitrary label multiset, tabulated
+        # lazily like any other start.
         n = 16
         import numpy as np
 
@@ -106,7 +105,7 @@ class TestBitIdentity:
             CaiRanking, n, seed=6, interactions=10_000,
             configuration=configuration,
         )
-        assert array.mode == "dense"
+        assert array.mode == "lazy"
         assert state_snapshot(array.configuration) == state_snapshot(
             reference.configuration
         )
@@ -142,7 +141,7 @@ class TestCodecDeclarations:
 class TestEngineRouting:
     def test_burman_and_cai_run_tabulated(self):
         assert ArraySimulator(BurmanStyleRanking(16), random_state=0).mode == "lazy"
-        assert ArraySimulator(CaiRanking(16), random_state=0).mode == "dense"
+        assert ArraySimulator(CaiRanking(16), random_state=0).mode == "lazy"
 
     def test_cai_large_n_uses_lazy_tables(self):
         assert ArraySimulator(CaiRanking(128), random_state=0).mode == "lazy"

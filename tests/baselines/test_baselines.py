@@ -96,6 +96,14 @@ class TestBurmanStyleRanking:
         result = simulator.run(max_interactions=3000 * n * n)
         assert result.converged
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_two_agents_converge(self, seed):
+        # Same leader election as StableRanking (DESIGN.md, substitution 6).
+        result = Simulator(BurmanStyleRanking(2), random_state=seed).run(
+            max_interactions=20_000
+        )
+        assert result.converged
+
     def test_recovers_from_duplicate_rank_fault(self):
         from repro.experiments.workloads import duplicate_rank_configuration
 

@@ -9,8 +9,8 @@ The central claims verified here:
 * **Statistical equivalence** — with engine defaults (coarser convergence
   cadence), convergence-time distributions across seeds agree between the
   engines.
-* **Mode selection** — protocols are routed to the dense, lazy or object
-  path as their transition structure demands, including the mid-run
+* **Mode selection** — protocols are routed to the lazy table path or the
+  object path as their transition structure demands, including the mid-run
   demotion for randomness-consuming transitions.
 """
 
@@ -19,15 +19,11 @@ import pytest
 
 from harness.differential import assert_identical, snapshot
 from repro.core.array_engine import ArraySimulator, EngineCache, make_simulator
-from repro.core.configuration import Configuration
-from repro.core.errors import SimulationLimitExceeded, StateSpaceTooLarge
+from repro.core.errors import SimulationLimitExceeded
 from repro.core.metrics import MetricsCollector, standard_ranking_probes
 from repro.core.protocol import PopulationProtocol, TransitionResult
 from repro.core.simulation import Simulator
-from repro.protocols.primitives.one_way_epidemic import (
-    EpidemicState,
-    OneWayEpidemicProtocol,
-)
+from repro.protocols.primitives.one_way_epidemic import OneWayEpidemicProtocol
 from repro.protocols.ranking.space_efficient import SpaceEfficientRanking
 from repro.protocols.ranking.stable_ranking import StableRanking
 
@@ -43,8 +39,8 @@ def states_of(result):
 
 
 class TestModeSelection:
-    def test_epidemic_uses_dense_tables(self):
-        assert ArraySimulator(OneWayEpidemicProtocol(32)).mode == "dense"
+    def test_epidemic_uses_lazy_tables(self):
+        assert ArraySimulator(OneWayEpidemicProtocol(32)).mode == "lazy"
 
     def test_stable_ranking_uses_lazy_tables(self):
         assert ArraySimulator(StableRanking(16)).mode == "lazy"
@@ -53,10 +49,6 @@ class TestModeSelection:
         # The GS leader-election substrate draws random tags inside the
         # transition, so state pairs cannot be tabulated.
         assert ArraySimulator(SpaceEfficientRanking(16)).mode == "object"
-
-    def test_forced_dense_rejects_large_state_space(self):
-        with pytest.raises(StateSpaceTooLarge):
-            ArraySimulator(StableRanking(16), engine_mode="dense")
 
     def test_mode_decision_is_cached(self):
         cache = EngineCache()
@@ -108,7 +100,7 @@ class TestSameSeedTraceEquality:
         )
         expected = snapshot(reference.run(max_interactions=200_000))
         actual = snapshot(array.run(max_interactions=200_000))
-        assert array.mode == "dense"
+        assert array.mode == "lazy"
         assert_identical(expected, actual, context=f"epidemic seed={seed}")
 
     def test_fixed_budget_runs_match(self):
@@ -192,25 +184,31 @@ class TestObjectFallback:
         assert actual.interactions == expected.interactions
         assert states_of(actual) == states_of(expected)
 
-    def test_dense_cache_reuse_with_new_states_recompiles(self):
-        """A shared dense cache must extend its closure when a later
-        configuration contains states the first run never reached."""
-        cache = EngineCache()
-        ArraySimulator(OneWayEpidemicProtocol(8), cache=cache).run(
-            max_interactions=10_000
-        )
-        states = [EpidemicState(informed=True, active=True)]
-        states += [EpidemicState(informed=False, active=True) for _ in range(5)]
-        states += [EpidemicState(informed=False, active=False) for _ in range(2)]
-        array = ArraySimulator(
-            OneWayEpidemicProtocol(8, m=6),
-            configuration=Configuration(states),
-            cache=cache,
-        )
-        assert array.mode == "dense"
-        result = array.run(max_interactions=100_000)
-        assert result.converged
+    def test_undeclared_randomness_demotes_on_first_contact(self):
+        """A protocol that draws randomness without declaring it starts on
+        the lazy path and demotes at its first tabulation attempt; the
+        drained pair buffer keeps the reference trajectory exact."""
 
+        class UndeclaredRandomRanking(SpaceEfficientRanking):
+            def consumes_randomness(self):
+                return None
+
+        n, seed = 16, 5
+        reference = Simulator(
+            UndeclaredRandomRanking(n), random_state=seed,
+            convergence_interval=n,
+        )
+        array = ArraySimulator(
+            UndeclaredRandomRanking(n), random_state=seed,
+            convergence_interval=n,
+        )
+        assert array.mode == "lazy"
+        expected = reference.run(max_interactions=2_000_000)
+        actual = array.run(max_interactions=2_000_000)
+        assert array.mode == "object"
+        assert actual.converged and expected.converged
+        assert actual.interactions == expected.interactions
+        assert states_of(actual) == states_of(expected)
 
     def test_space_efficient_converges_on_object_path(self):
         n = 32

@@ -1,4 +1,4 @@
-"""Unit tests for the state codec and the dense transition compiler."""
+"""Unit tests for the state codec and single-pair tabulation."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ import pytest
 from repro.core.codec import (
     RAISING_RNG,
     StateCodec,
-    compile_dense_tables,
-    enumerate_reachable_states,
     evaluate_pair,
 )
-from repro.core.errors import CodecError, RandomnessConsumed, StateSpaceTooLarge
+from repro.core.errors import CodecError, RandomnessConsumed
 from repro.core.state import AgentState
 from repro.protocols.leader_election.gs_leader_election import GSLeaderElectionProtocol
 from repro.protocols.primitives.one_way_epidemic import (
@@ -77,8 +75,14 @@ class TestStateCodecRoundTrip:
     def test_encode_decode_is_identity_over_enumerated_space(self):
         protocol = OneWayEpidemicProtocol(8)
         codec = StateCodec()
-        start = [codec.encode(s) for s in protocol.initial_configuration().states]
-        enumerate_reachable_states(protocol, codec, start, max_states=16)
+        codec.encode_many(protocol.initial_configuration().states)
+        # Close the start states under the transition function.
+        size = 0
+        while size < codec.size:
+            size = codec.size
+            for a in range(size):
+                for b in range(size):
+                    evaluate_pair(protocol, codec, a, b)
         for code in range(codec.size):
             state = codec.materialize(code)
             assert codec.encode(state) == code
@@ -113,49 +117,23 @@ class TestStateCodecRoundTrip:
             codec.encode(object())
 
 
-class TestDenseCompilation:
-    def test_epidemic_tables_match_per_pair_evaluation(self):
-        protocol = OneWayEpidemicProtocol(8)
-        codec = StateCodec()
-        start = [codec.encode(s) for s in protocol.initial_configuration().states]
-        tables = compile_dense_tables(protocol, codec, start, max_states=16)
-        assert tables.size == codec.size
-        assert tables.size <= 4  # informed x active, minus unreachable combos
-        check = StateCodec()
-        for s in protocol.initial_configuration().states:
-            check.encode(s)
-        for a in range(tables.size):
-            for b in range(tables.size):
-                outcome = evaluate_pair(protocol, codec, a, b)
-                assert tables.next_initiator[a, b] == outcome.next_initiator
-                assert tables.next_responder[a, b] == outcome.next_responder
-                assert tables.changed[a, b] == outcome.changed
-
+class TestEvaluatePair:
     def test_epidemic_infection_is_tabulated(self):
         protocol = OneWayEpidemicProtocol(4)
         codec = StateCodec()
         informed = codec.encode(EpidemicState(informed=True, active=True))
         uninformed = codec.encode(EpidemicState(informed=False, active=True))
-        tables = compile_dense_tables(
-            protocol, codec, [informed, uninformed], max_states=8
-        )
-        assert tables.changed[informed, uninformed]
-        assert tables.next_responder[informed, uninformed] == informed
-        assert not tables.changed[uninformed, informed]
-
-    def test_large_state_space_aborts(self):
-        protocol = StableRanking(32)
-        codec = StateCodec()
-        start = [codec.encode(s) for s in protocol.initial_configuration().states]
-        with pytest.raises(StateSpaceTooLarge):
-            compile_dense_tables(protocol, codec, start, max_states=16)
+        infection = evaluate_pair(protocol, codec, informed, uninformed)
+        assert infection.changed
+        assert infection.next_responder == informed
+        assert not evaluate_pair(protocol, codec, uninformed, informed).changed
 
     def test_randomness_consumption_is_detected(self):
         protocol = GSLeaderElectionProtocol(8)
         codec = StateCodec()
-        start = [codec.encode(s) for s in protocol.initial_configuration().states]
+        start = codec.encode_many(protocol.initial_configuration().states)
         with pytest.raises(RandomnessConsumed):
-            compile_dense_tables(protocol, codec, start, max_states=64)
+            evaluate_pair(protocol, codec, int(start[0]), int(start[1]))
 
     def test_raising_rng_raises_on_any_use(self):
         with pytest.raises(RandomnessConsumed):
@@ -163,8 +141,6 @@ class TestDenseCompilation:
         with pytest.raises(RandomnessConsumed):
             RAISING_RNG.random()
 
-
-class TestEvaluatePair:
     def test_stable_ranking_pair_outcomes_are_deterministic(self):
         protocol = StableRanking(16)
         codec = StateCodec()

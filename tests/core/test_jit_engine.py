@@ -95,7 +95,7 @@ class TestGracefulConstruction:
     )
     def test_runs_bit_identically_to_plain_array(self, factory, n, budget):
         # Without numba the subclass *is* the parent (interpreted walks);
-        # with numba the compiled dense loop must reproduce them exactly.
+        # with numba the compiled lazy walk must reproduce them exactly.
         seed = 7
         plain = ArraySimulator(
             factory(n), random_state=seed, convergence_interval=n

@@ -3,8 +3,8 @@
 The store's contract has two halves, and this suite pins both:
 
 * **Warmth transfers**: a fresh :class:`EngineCache` pointed at a
-  populated store merges the persisted pairs / dense tables before its
-  first interning, and the resulting trajectories are bit-identical to
+  populated store merges the persisted pair spills before its first
+  interning, and the resulting trajectories are bit-identical to
   cold runs — the store changes *when* tables are computed, never what.
 * **Corruption cannot poison**: a truncated spill payload, a stale
   format stamp or plain garbage is warned about, deleted, and rebuilt by
@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from harness.differential import assert_identical, run_serial
+from repro.baselines.burman_ranking import BurmanStyleRanking
 from repro.core.array_engine import EngineCache
 from repro.core.table_store import (
     FORMAT_VERSION,
@@ -97,28 +98,44 @@ class TestPairSpillRoundTrip:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestDenseArtifact:
-    def test_dense_tables_persist_and_reload(self, tmp_path):
+class TestOlderEntries:
+    def test_entry_with_dense_artifact_and_mode_hint_loads_spills(
+        self, tmp_path
+    ):
+        """Entries written before 3.0.0 may also hold a ``dense/`` artifact
+        and a ``meta.json`` mode hint.  Nothing reads them now: the pair
+        spills beside them still load, with no warning and no discard."""
         store = tmp_path / "tables"
-        consume_session_stats()
         cold_cache = EngineCache(persist_dir=store)
-        cold = run_serial(
-            "array", OneWayEpidemicProtocol, 64, SEED,
-            budget=100 * 64 * 64, cache=cold_cache,
+        cold = _run_lazy(cold_cache)
+        assert cold_cache.spill() > 0
+        (entry,) = Path(store).iterdir()
+        # The older layout: dense/ with a manifest and five (S x S)
+        # arrays (kept empty here), and meta.json naming the resolved mode.
+        dense = entry / "dense"
+        dense.mkdir()
+        for name in ("next_initiator", "next_responder", "changed",
+                     "rank", "reset"):
+            np.save(dense / f"{name}.npy", np.zeros((0, 0), np.int64))
+        (dense / "manifest.json").write_text(json.dumps({
+            "format": FORMAT_VERSION, "kind": "dense", "size": 0,
+            "types": [], "states": [],
+        }))
+        (entry / "meta.json").write_text(
+            json.dumps({"format": FORMAT_VERSION, "mode": "lazy"})
         )
-        assert cold_cache.mode == "dense"
-        cold_cache.spill()
-        assert (next(Path(store).iterdir()) / "dense").is_dir()
 
         consume_session_stats()
         warm_cache = EngineCache(persist_dir=store)
-        warm = run_serial(
-            "array", OneWayEpidemicProtocol, 64, SEED,
-            budget=100 * 64 * 64, cache=warm_cache,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warm = _run_lazy(warm_cache)
         stats = consume_session_stats()
-        assert stats["dense_loaded"] == 1
-        assert_identical(cold, warm, context="dense persisted-warm")
+        assert stats["pairs_loaded"] == len(cold_cache.pair_cache)
+        assert stats["artifacts_discarded"] == 0
+        assert (dense / "manifest.json").is_file()
+        assert (entry / "meta.json").is_file()
+        assert_identical(cold, warm, context="older-entry persisted-warm")
 
 
 class TestCorruptionRecovery:
@@ -261,6 +278,35 @@ class TestContentAddressing:
         assert len({name_a, name_b, name_c}) == 3
         assert name_a == protocol_key(StableRanking(32))[0]
 
+    @pytest.mark.parametrize("factory", [StableRanking, BurmanStyleRanking])
+    def test_two_head_entries_at_two_agents_are_not_loaded(
+        self, tmp_path, monkeypatch, factory
+    ):
+        """Before n = 2 elected on one head, n = 2 entries were addressed
+        by a ``describe()`` without ``coin_count_init`` and hold two-head
+        transitions.  The current address differs, so they never load."""
+        two_head_describe = dict(factory(2).describe())
+        del two_head_describe["coin_count_init"]
+        store = tmp_path / "tables"
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                factory, "describe", lambda self: dict(two_head_describe)
+            )
+            old_cache = EngineCache(persist_dir=store)
+            run_serial("array", factory, 2, SEED, budget=4000,
+                       cache=old_cache)
+            assert old_cache.spill() > 0
+            old_name = protocol_key(factory(2))[0]
+        assert protocol_key(factory(2))[0] != old_name
+
+        consume_session_stats()
+        cache = EngineCache(persist_dir=store)
+        run_serial("array", factory, 2, SEED, budget=4000, cache=cache)
+        assert consume_session_stats()["pairs_loaded"] == 0
+        assert (store / old_name).is_dir()
+        # Every n >= 3 keeps the address older stores used.
+        assert "coin_count_init" not in factory(3).describe()
+
     def test_entries_listing_and_describe(self, tmp_path):
         store = tmp_path / "tables"
         cache = EngineCache(persist_dir=store)
@@ -271,7 +317,6 @@ class TestContentAddressing:
         info = entry.describe()
         assert info["spills"] == 1
         assert info["pairs"] == len(cache.pair_cache)
-        assert info["mode"] == "lazy"
         assert info["bytes"] > 0
         table_store.clear()
         assert table_store.entries() == []

@@ -221,7 +221,7 @@ class TestCacheCommand:
         assert main(["cache", "list", "--dir", str(store)]) == 0
         out = capsys.readouterr().out
         assert "stable-ranking" in out
-        assert "mode lazy" in out
+        assert "spills)" in out
 
         assert main(["cache", "clear", "--dir", str(store)]) == 0
         assert not store.exists()

@@ -7,8 +7,7 @@ from repro.core.state import AgentState
 class LateRandomProtocol(PopulationProtocol):
     """Deterministic counters that start consuming rng at a threshold.
 
-    The per-agent counter space (0…200) overflows the dense-table budget,
-    so the engines start on the lazy path; the first agent to reach the
+    The engines start on the lazy table path; the first agent to reach the
     threshold makes its transition consume randomness, which raises
     ``RandomnessConsumed`` inside the tabulated walk and exercises the
     *mid-run* demotion to the object path — per lane, at staggered times,

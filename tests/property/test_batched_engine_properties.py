@@ -6,9 +6,9 @@ a natural property: hypothesis draws random protocol/population/seed
 matrices (duplicate seeds included: two lanes with the same stream must
 produce the same trajectory twice), random budgets that cut runs off
 mid-flight or let lanes converge and drop out at staggered times, and
-protocols spanning every engine mode — dense complete tables (epidemic,
-Cai at small ``n``), lazy tabulation (StableRanking, Burman), declared
-rng consumption (serial fallback), and the *mid-run* demotion of lanes
+protocols spanning every engine mode — lazy tabulation (epidemic, Cai,
+StableRanking, Burman), declared rng consumption (serial fallback), and
+the *mid-run* demotion of lanes
 that start consuming randomness at a state threshold
 (:class:`LateRandomProtocol`, shared with the serial engine's own
 demotion tests).

@@ -5,7 +5,7 @@ tables are computed, never *what* trajectories an engine produces.  This
 suite states that as a property over protocols × seeds for each backend
 family that persists through the store:
 
-* ``array`` (serial, lazy and dense modes): a fresh cache pointed at a
+* ``array`` (serial, lazy mode): a fresh cache pointed at a
   populated store replays bit-identically to a plain cold cache;
 * ``array-batched``: every lane of a store-warm lockstep run matches the
   cold lockstep run *and* the serial anchor of its seed;
@@ -33,7 +33,8 @@ from repro.core.table_store import TableStore
 from repro.protocols.primitives.one_way_epidemic import OneWayEpidemicProtocol
 from repro.protocols.ranking.stable_ranking import StableRanking
 
-#: Lazy-mode (StableRanking, Burman) and dense-mode (epidemic) coverage.
+#: Pair-cache-heavy (StableRanking, Burman) and kernel-heavy (epidemic)
+#: coverage.
 PROTOCOLS = [StableRanking, OneWayEpidemicProtocol, BurmanStyleRanking]
 
 protocol_indices = st.integers(min_value=0, max_value=len(PROTOCOLS) - 1)

@@ -119,6 +119,22 @@ class TestFastLeaderElectionModule:
         assert u.leader_done is None  # left leader election
         assert u.le_count is None
 
+    def test_one_head_elects_at_two_agents(self):
+        # Two agents see each other's coins alternate, so two heads in a
+        # row never come (DESIGN.md, substitution 6).
+        assert FastLeaderElection(2).coin_count_init == 0
+        assert FastLeaderElection(3).coin_count_init == 2
+
+    def test_two_agent_state_count_keeps_leader_election_states(self):
+        # Agents at n = 2 still pass through LECount, coin and leader-flag
+        # states although no coin count is needed: the accounting is the
+        # one a single required coin gave.
+        from repro.baselines.burman_ranking import BurmanStyleRanking
+        from repro.protocols.ranking.stable_ranking import StableRanking
+
+        assert StableRanking(2).state_space_size() == 298
+        assert BurmanStyleRanking(2).state_space_size() == 236
+
     def test_timeout_triggers_reset_callback(self):
         resets = []
         module = FastLeaderElection(

@@ -123,6 +123,16 @@ class TestSelfStabilization:
         result = self._run(protocol, configuration, 7)
         assert result.converged
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_agents_converge(self, seed):
+        # Two agents see each other's coins alternate, so leader election
+        # must accept a single head (DESIGN.md, substitution 6).
+        result = Simulator(StableRanking(2), random_state=seed).run(
+            max_interactions=20_000
+        )
+        assert result.converged
+        assert sorted(result.configuration.ranks()) == [1, 2]
+
     def test_from_figure2_configuration(self):
         protocol = StableRanking(32)
         configuration = figure2_initial_configuration(protocol)

@@ -82,8 +82,8 @@ class TestReferenceArrayEquality:
         assert reference[0] == 9000  # ran the full budget
 
     def test_dense_mode_identical_through_event_boundaries(self):
-        # The epidemic runs on complete dense tables; crash/churn events
-        # round-trip through the codec and re-enter the dense path.
+        # The epidemic runs on the table path; crash/churn events
+        # round-trip through the codec and re-enter it.
         schedule = (
             ScheduledEvent(at=333, kind="crash_reset", params={"count": 10}),
             ScheduledEvent(at=900, kind="churn", params={"fraction": 0.9}),

@@ -228,6 +228,61 @@ class TestHTTPInputBounds:
         assert self._raw_post(port, 2 << 20).startswith("HTTP/1.0 413")
 
 
+class TestStudyIdBounds:
+    """A study id names one study directly under the serve root; nothing
+    else — the root itself, its parent, or a path with extra segments —
+    is served."""
+
+    def _raw_get(self, port, path):
+        # A raw request line: clients may normalize "." and ".." away.
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                f"GET {path} HTTP/1.1\r\nHost: localhost\r\n"
+                f"Connection: close\r\n\r\n".encode()
+            )
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        return int(head.split()[1]), json.loads(body)
+
+    def test_ids_outside_the_root_and_extra_segments_are_404(self, tmp_path):
+        # The root and its parent both hold a spec.json, as if they were
+        # studies themselves; the root's name even looks like a study id.
+        root = tmp_path / "served-feedc0ffee12"
+        httpd, service = make_server(root, port=0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            study_id = service.submit(
+                {"name": "s", "specs": [spec().as_dict()]}
+            )["study"]
+            spec_text = (root / study_id / "spec.json").read_text()
+            (root / "spec.json").write_text(spec_text)
+            (tmp_path / "spec.json").write_text(spec_text)
+            port = httpd.server_address[1]
+            assert self._raw_get(port, f"/studies/{study_id}")[0] == 200
+            assert self._raw_get(port, f"/studies/{study_id}/rows")[0] == 200
+            for path in (
+                "/studies/.",
+                "/studies/..",
+                "/studies/./rows",
+                "/studies/../rows",
+                "/studies//rows",
+                f"/studies/{study_id}/rows/anything",
+                f"/studies/{study_id}/progress/extra",
+            ):
+                status, body = self._raw_get(port, path)
+                assert status == 404, path
+                assert "error" in body, path
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+
+
 class TestOperatorListing:
     def test_list_studies_shows_queue_depth_and_progress(
         self, tmp_path, capsys

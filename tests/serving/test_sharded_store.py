@@ -10,10 +10,13 @@ one canonical ``rows.jsonl`` without ever rewriting it.
 
 import json
 import multiprocessing
+import os
+from pathlib import Path
 
 import pytest
 
 from repro.core.errors import ExperimentError
+from repro.experiments import store as store_module
 from repro.experiments.store import (
     ResultStore,
     append_jsonl_line,
@@ -171,6 +174,89 @@ class TestCompaction:
     def test_compact_without_shards_is_a_noop(self, tmp_path):
         store = ResultStore(tmp_path, "study", "feedc0ffee12")
         assert store.compact() == 0
+
+
+class TestCompactionRaces:
+    """Readers and appenders racing a compaction, made deterministic by
+    running :meth:`ResultStore.compact` at the racy point."""
+
+    def test_load_keeps_rows_compacted_between_listing_and_reading(
+        self, tmp_path, monkeypatch
+    ):
+        canon = ResultStore(tmp_path, "study", "feedc0ffee12")
+        canon.append(row(seed=0))
+        shard = ShardedResultStore(tmp_path, "study", "feedc0ffee12",
+                                   worker_id="wa")
+        shard.append(row(seed=1))
+        shard.append(row(seed=2))
+        compactor = ResultStore(tmp_path, "study", "feedc0ffee12")
+        original = store_module.read_jsonl
+        fired = []
+
+        def read_racing_compaction(path, strict=True):
+            # The shard is listed; compaction folds it into rows.jsonl
+            # and deletes it before this reader gets to it.
+            if not fired and Path(path).parent.name == "shards":
+                fired.append(path)
+                assert compactor.compact() == 2
+            return original(path, strict)
+
+        monkeypatch.setattr(store_module, "read_jsonl", read_racing_compaction)
+        rows = canon.load()
+        assert fired
+        assert sorted(rows) == [("v", 8, 0), ("v", 8, 1), ("v", 8, 2)]
+
+    def test_load_survives_compaction_removing_the_shard_directory(
+        self, tmp_path, monkeypatch
+    ):
+        canon = ResultStore(tmp_path, "study", "feedc0ffee12")
+        shard = ShardedResultStore(tmp_path, "study", "feedc0ffee12",
+                                   worker_id="wa")
+        shard.append(row(seed=1))
+        compactor = ResultStore(tmp_path, "study", "feedc0ffee12")
+        fired = []
+
+        def compact_first(original):
+            # Compaction removes shards/ just as this reader scans it.
+            def scan(path=".", *args):
+                if not fired and Path(path) == canon.shards_directory:
+                    fired.append(path)
+                    assert compactor.compact() == 1
+                return original(path, *args)
+            return scan
+
+        monkeypatch.setattr(os, "listdir", compact_first(os.listdir))
+        monkeypatch.setattr(os, "scandir", compact_first(os.scandir))
+        rows = canon.load()
+        assert fired
+        assert sorted(rows) == [("v", 8, 1)]
+
+    def test_append_recreates_shards_removed_between_mkdir_and_open(
+        self, tmp_path, monkeypatch
+    ):
+        canon = ResultStore(tmp_path, "study", "feedc0ffee12")
+        first = ShardedResultStore(tmp_path, "study", "feedc0ffee12",
+                                   worker_id="wa")
+        first.append(row(seed=1))
+        late = ShardedResultStore(tmp_path, "study", "feedc0ffee12",
+                                  worker_id="wb")
+        original = Path.mkdir
+        fired = []
+
+        def mkdir_racing_compaction(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            # Compaction empties shards/ and removes it right after the
+            # late worker created it, before its first open.
+            if not fired and self == canon.shards_directory:
+                fired.append(self)
+                assert canon.compact() == 1
+                assert not self.exists()
+
+        monkeypatch.setattr(Path, "mkdir", mkdir_racing_compaction)
+        late.append(row(seed=2))
+        assert fired
+        assert late.shard_path.exists()
+        assert sorted(canon.load()) == [("v", 8, 1), ("v", 8, 2)]
 
 
 def _append_many(path, writer):

@@ -196,3 +196,18 @@ def test_removed_execution_paths_stay_removed():
         BatchedArraySimulator(
             [repro.StableRanking(8)], random_states=[0], use_soa_kernel=True
         )
+
+
+def test_dense_table_mode_stays_removed():
+    # The lazy pair cache is the one table mode of the array engines.
+    import repro.core
+    import repro.core.codec
+
+    for name in ("DenseTransitionTables", "compile_dense_tables"):
+        assert not hasattr(repro.core, name)
+        assert name not in repro.core.__all__
+    assert not hasattr(repro.core.codec, "enumerate_reachable_states")
+    with pytest.raises(TypeError, match="engine_mode"):
+        repro.ArraySimulator(repro.StableRanking(8), engine_mode="dense")
+    with pytest.raises(TypeError, match="max_dense_states"):
+        repro.ArraySimulator(repro.StableRanking(8), max_dense_states=64)
